@@ -7,8 +7,10 @@
 //! (§3.2). Host hooks registered by name become the events of the `.evt`
 //! configuration layer (Figure 7).
 
+use std::collections::HashMap;
+
 use hilti::fiber::{Fiber, FiberState, Step};
-use hilti::host::Program;
+use hilti::host::{BuildOptions, Program};
 use hilti::passes::OptLevel;
 use hilti::value::Value;
 use hilti_rt::bytestring::{Bytes, FeedChunk};
@@ -33,6 +35,9 @@ pub struct ParserIr {
 pub struct BinpacParser {
     program: Program,
     module: String,
+    /// Unit name → index of its `parse_<unit>` function, resolved once so
+    /// a datagram enters the VM without formatting or looking up a name.
+    parse_fns: HashMap<String, u32>,
 }
 
 impl BinpacParser {
@@ -54,11 +59,22 @@ impl BinpacParser {
         stream_units: &[&str],
         opt: OptLevel,
     ) -> RtResult<ParserIr> {
+        Self::front_end_with(grammar, stream_units, opt, BuildOptions::default())
+    }
+
+    /// [`BinpacParser::front_end`] with explicit HILTI build options; the
+    /// tiering tests build parsers under adaptive tiering with it.
+    fn front_end_with(
+        grammar: &Grammar,
+        stream_units: &[&str],
+        opt: OptLevel,
+        options: BuildOptions,
+    ) -> RtResult<ParserIr> {
         let mut src = generate(grammar)?;
         for u in stream_units {
             src.push_str(&generate_driver(u));
         }
-        let ir = Program::front_end(&[&src], opt, Default::default())?;
+        let ir = Program::front_end(&[&src], opt, options)?;
         Ok(ParserIr {
             ir,
             module: grammar.module.clone(),
@@ -68,9 +84,18 @@ impl BinpacParser {
     /// The per-thread half of [`BinpacParser::compile`]: bytecode lowering
     /// and a fresh execution context from a shared front end.
     pub fn from_ir(ir: &ParserIr) -> RtResult<BinpacParser> {
+        let program = Program::from_ir(ir.ir.clone())?;
+        let prefix = format!("{}::parse_", ir.module);
+        let parse_fns = program
+            .compiled()
+            .func_index
+            .iter()
+            .filter_map(|(name, &fi)| Some((name.strip_prefix(&prefix)?.to_owned(), fi)))
+            .collect();
         Ok(BinpacParser {
-            program: Program::from_ir(ir.ir.clone())?,
+            program,
             module: ir.module.clone(),
+            parse_fns,
         })
     }
 
@@ -108,10 +133,14 @@ impl BinpacParser {
     }
 
     fn run_datagram(&mut self, unit: &str, data: Bytes) -> RtResult<Value> {
-        let ret = self.program.run(
-            &format!("{}::parse_{unit}", self.module),
-            &[Value::Bytes(data.clone()), Value::BytesIter(data.begin())],
-        )?;
+        let args = [Value::Bytes(data.clone()), Value::BytesIter(data.begin())];
+        let ret = match self.parse_fns.get(unit) {
+            Some(&fi) => self.program.run_index(fi, &args)?,
+            // Unknown unit: the by-name call reports it.
+            None => self
+                .program
+                .run(&format!("{}::parse_{unit}", self.module), &args)?,
+        };
         // parse_* returns (struct, iterator).
         let tuple = ret.as_tuple()?;
         tuple
@@ -202,12 +231,13 @@ pub fn field_of(program: &Program, value: &Value, name: &str) -> RtResult<Value>
         )));
     };
     let s = s.borrow();
-    let fields = program
+    let layout = program
         .context()
-        .struct_fields
+        .struct_layouts
         .get(&*s.type_name)
         .ok_or_else(|| RtError::type_error(format!("unknown unit type {}", s.type_name)))?;
-    let idx = fields
+    let idx = layout
+        .fields
         .iter()
         .position(|f| f == name)
         .ok_or_else(|| RtError::index(format!("unit {} has no field {name}", s.type_name)))?;
@@ -266,6 +296,9 @@ impl Session {
         self.data.set_budget(budget);
     }
 }
+
+#[cfg(test)]
+mod tiering;
 
 #[cfg(test)]
 mod tests {

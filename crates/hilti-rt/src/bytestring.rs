@@ -208,6 +208,45 @@ impl Inner {
         c.as_slice()[(offset - c.start) as usize]
     }
 
+    /// The range checks of every `[from, to)` read: a reversed range is a
+    /// ValueError, a range before the base an IndexError, and a range past
+    /// the frontier WouldBlock (open) or IndexError (frozen).
+    fn check_range(&self, from: u64, to: u64) -> RtResult<()> {
+        if to < from {
+            return Err(RtError::value(format!("bad range {from}..{to}")));
+        }
+        if from < self.base {
+            return Err(RtError::index("range begins before trimmed base"));
+        }
+        if to > self.end {
+            return if self.frozen {
+                Err(RtError::index("range extends past frozen end"))
+            } else {
+                Err(RtError::would_block())
+            };
+        }
+        Ok(())
+    }
+
+    /// Copies out a range that passed [`Inner::check_range`].
+    fn copy_range(&self, from: u64, to: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity((to - from) as usize);
+        if to > from {
+            let mut i = self.chunk_containing(from);
+            let mut pos = from;
+            while pos < to {
+                let c = &self.chunks[i];
+                let s = c.as_slice();
+                let a = (pos - c.start) as usize;
+                let b = (((to - c.start) as usize).min(s.len())).max(a);
+                out.extend_from_slice(&s[a..b]);
+                pos = c.start + b as u64;
+                i += 1;
+            }
+        }
+        out
+    }
+
     /// All retained bytes, concatenated.
     fn flatten_to_vec(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.len());
@@ -493,35 +532,60 @@ impl Bytes {
     /// Copies out `[from, to)` as a `Vec<u8>`. All requested data must be
     /// available; otherwise WouldBlock/IndexError as for [`Bytes::at`].
     pub fn extract(&self, from: u64, to: u64) -> RtResult<Vec<u8>> {
-        if to < from {
-            return Err(RtError::value(format!("bad range {from}..{to}")));
-        }
         let inner = self.inner.borrow();
-        if from < inner.base {
-            return Err(RtError::index("range begins before trimmed base"));
+        inner.check_range(from, to)?;
+        Ok(inner.copy_range(from, to))
+    }
+
+    /// A frozen string holding `[from, to)`, with the same range checks and
+    /// errors as [`Bytes::extract`]. A range inside one borrowed chunk
+    /// becomes a view that shares the chunk's arena (no copy); a range
+    /// inside one owned chunk costs one exact-size copy; only a range that
+    /// crosses chunks is gathered the way `extract` does. The result
+    /// carries no budget, and trimming or dropping `self` later leaves it
+    /// intact.
+    pub fn sub(&self, from: u64, to: u64) -> RtResult<Bytes> {
+        let inner = self.inner.borrow();
+        inner.check_range(from, to)?;
+        let data = if from == to {
+            None
+        } else {
+            let c = &inner.chunks[inner.chunk_containing(from)];
+            let (a, b) = ((from - c.start) as usize, (to - c.start) as usize);
+            Some(match &c.data {
+                _ if to > c.end() => ChunkData::Owned(inner.copy_range(from, to)),
+                ChunkData::Owned(v) => ChunkData::Owned(v[a..b].to_vec()),
+                ChunkData::Borrowed(s) => ChunkData::Borrowed(ArenaSlice {
+                    arena: Arc::clone(&s.arena),
+                    off: s.off + a,
+                    len: b - a,
+                }),
+            })
+        };
+        Ok(Bytes {
+            inner: Rc::new(RefCell::new(Inner {
+                chunks: data
+                    .map(|data| Chunk { start: 0, data })
+                    .into_iter()
+                    .collect(),
+                base: 0,
+                end: to - from,
+                frozen: true,
+                budget: None,
+            })),
+        })
+    }
+
+    /// Calls `f` with all retained bytes as one slice: borrowed straight
+    /// from the chunk when the string is contiguous, flattened into a
+    /// temporary otherwise.
+    pub fn with_contiguous<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        let inner = self.inner.borrow();
+        match inner.chunks.as_slice() {
+            [] => f(&[]),
+            [c] => f(c.as_slice()),
+            _ => f(&inner.flatten_to_vec()),
         }
-        if to > inner.end {
-            return if inner.frozen {
-                Err(RtError::index("range extends past frozen end"))
-            } else {
-                Err(RtError::would_block())
-            };
-        }
-        let mut out = Vec::with_capacity((to - from) as usize);
-        if to > from {
-            let mut i = inner.chunk_containing(from);
-            let mut pos = from;
-            while pos < to {
-                let c = &inner.chunks[i];
-                let s = c.as_slice();
-                let a = (pos - c.start) as usize;
-                let b = (((to - c.start) as usize).min(s.len())).max(a);
-                out.extend_from_slice(&s[a..b]);
-                pos = c.start + b as u64;
-                i += 1;
-            }
-        }
-        Ok(out)
     }
 
     /// Calls `f` with the contiguous slice of available data starting at
@@ -745,6 +809,13 @@ impl BytesIter {
         self.bytes.at(self.offset)
     }
 
+    /// The byte under the iterator if it is available, `None` wherever
+    /// [`BytesIter::deref`] would raise — without building the error.
+    pub fn peek(&self) -> Option<u8> {
+        let inner = self.bytes.inner.borrow();
+        (self.offset >= inner.base && self.offset < inner.end).then(|| inner.byte_at(self.offset))
+    }
+
     /// True once the iterator sits at the frontier of a *frozen* string —
     /// i.e. there is definitively no more data.
     pub fn at_frozen_end(&self) -> bool {
@@ -865,6 +936,100 @@ mod tests {
         b.freeze();
         assert_eq!(b.extract(4, 9).unwrap_err().kind, ExceptionKind::IndexError);
         assert!(b.extract(4, 2).is_err());
+    }
+
+    #[test]
+    fn sub_view_shares_a_borrowed_chunk() {
+        let b = Bytes::new();
+        b.append_shared(ArenaSlice::new(arena(b"..hello world.."), 2, 11))
+            .unwrap();
+        let v = b.sub(3, 8).unwrap();
+        assert_eq!(v.to_vec(), b"lo wo");
+        assert_eq!(v.borrowed_len(), 5, "a view, not a copy");
+        assert!(v.is_frozen());
+        assert_eq!((v.begin_offset(), v.end_offset()), (0, 5));
+        assert!(v.budget().is_none());
+    }
+
+    #[test]
+    fn sub_of_owned_chunk_is_one_exact_copy() {
+        let b = Bytes::from_slice(b"abcdef");
+        let v = b.sub(1, 4).unwrap();
+        assert_eq!(v.to_vec(), b"bcd");
+        assert_eq!((v.chunk_count(), v.borrowed_len()), (1, 0));
+        assert!(v.is_frozen());
+        // Independent of the source from here on.
+        b.append(b"gh").unwrap();
+        assert_eq!(v.len(), 3);
+        // An empty range is an empty frozen string.
+        let e = b.sub(2, 2).unwrap();
+        assert!(e.is_empty() && e.is_frozen());
+        assert_eq!(e.chunk_count(), 0);
+    }
+
+    #[test]
+    fn sub_across_chunks_falls_back_to_extract() {
+        let b = Bytes::new();
+        b.append_shared(ArenaSlice::new(arena(b"abc"), 0, 3))
+            .unwrap();
+        b.append_shared(ArenaSlice::new(arena(b"def"), 0, 3))
+            .unwrap();
+        let v = b.sub(1, 5).unwrap();
+        assert_eq!(v.to_vec(), b.extract(1, 5).unwrap());
+        assert_eq!((v.chunk_count(), v.borrowed_len()), (1, 0));
+        // The source keeps its chunks: no coalescing on the way.
+        assert_eq!(b.chunk_count(), 2);
+    }
+
+    #[test]
+    fn sub_view_survives_parent_trim_and_drop() {
+        let b = Bytes::new();
+        b.append_shared(ArenaSlice::new(arena(b"0123456789"), 0, 10))
+            .unwrap();
+        let v = b.sub(2, 6).unwrap();
+        b.trim(8).unwrap();
+        assert_eq!(v.to_vec(), b"2345");
+        drop(b);
+        assert_eq!(v.to_vec(), b"2345");
+        assert_eq!(v.borrowed_len(), 4);
+    }
+
+    #[test]
+    fn sub_errors_match_extract() {
+        let b = Bytes::from_slice(b"abcdef");
+        b.trim(2).unwrap();
+        let same = |from, to| {
+            let e = b.sub(from, to).unwrap_err();
+            assert_eq!(e, b.extract(from, to).unwrap_err(), "{from}..{to}");
+            e.kind
+        };
+        assert_eq!(same(4, 3), ExceptionKind::ValueError); // reversed
+        assert_eq!(same(1, 4), ExceptionKind::IndexError); // before base
+        assert_eq!(same(4, 9), ExceptionKind::WouldBlock); // past open end
+        b.freeze();
+        assert_eq!(same(4, 9), ExceptionKind::IndexError); // past frozen end
+    }
+
+    #[test]
+    fn peek_is_deref_without_the_error() {
+        let b = Bytes::from_slice(b"xyz");
+        b.trim(1).unwrap();
+        for off in 0..5 {
+            let it = b.iter_at(off);
+            assert_eq!(it.peek(), it.deref().ok(), "offset {off}");
+        }
+    }
+
+    #[test]
+    fn with_contiguous_sees_all_retained_bytes() {
+        let b = Bytes::new();
+        b.with_contiguous(|s| assert!(s.is_empty()));
+        b.append_shared(ArenaSlice::new(arena(b"abc"), 0, 3))
+            .unwrap();
+        b.with_contiguous(|s| assert_eq!(s, b"abc"));
+        b.append(b"de").unwrap();
+        b.with_contiguous(|s| assert_eq!(s, b"abcde"));
+        assert_eq!(b.chunk_count(), 2, "reading does not coalesce");
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //! instruction mix to stderr,
 //! sorted by count with each opcode's share of retired instructions,
 //! plus the per-tier retirement mix (generic vs specialized fast loop vs
-//! threaded executor) when any instruction retired off the generic path.
+//! threaded executor) when any instruction retired off the generic path,
+//! and the build's specializer rewrite counts (`Program::spec_stats`).
 //! (Note `--stats` itself is an observational mode that pins the generic
 //! tier, so a tiered retirement mix only shows up when stats are read
 //! programmatically or via `--metrics-out`-style integrations.)
@@ -345,6 +346,14 @@ fn main() -> ExitCode {
                         tiers.threaded
                     );
                 }
+                // Build-time specializer rewrites (all zero under
+                // --no-specialize or adaptive tiering).
+                let spec = program.spec_stats();
+                eprintln!(
+                    "stats: specializer rewrites: arith {} / cmps {} / moves {} / branches {} / \
+                     fused {} / iters {}",
+                    spec.arith, spec.cmps, spec.moves, spec.branches, spec.fused, spec.iters
+                );
             }
             if let Some(path) = &profile_out {
                 let prof = program.context_mut().take_exec_profile();

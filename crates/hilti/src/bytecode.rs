@@ -164,6 +164,21 @@ pub enum CInstr {
         then_pc: u32,
         else_pc: u32,
     },
+    /// `dst = iterator.incr it n` on a slot statically typed
+    /// `iterator<bytes>`: same value checks (iterator first, then the
+    /// amount) and errors as the generic op.
+    IterIncrBytes {
+        dst: u16,
+        it: u16,
+        n: IntSrc,
+    },
+    /// `dst = iterator.deref it` on a slot statically typed
+    /// `iterator<bytes>`; raises WouldBlock/IndexError exactly like
+    /// `Bytes::at`.
+    IterDerefBytes {
+        dst: u16,
+        it: u16,
+    },
 
     // --- inline-cache tier -----------------------------------------------
     // Emitted by `crate::tier` when a hot function is re-lowered with
@@ -500,6 +515,10 @@ impl CInstr {
                 then_pc,
                 else_pc,
             } => format!("if s{cond} goto @{then_pc} else @{else_pc}"),
+            CInstr::IterIncrBytes { dst, it, n } => {
+                format!("s{dst} = iterator.incr s{it} {}", n.render())
+            }
+            CInstr::IterDerefBytes { dst, it } => format!("s{dst} = iterator.deref s{it}"),
             // IC variants render exactly like the generic `Op` they
             // replaced (mnemonic, idents, then value operands), keeping
             // traces diffable across tiers.
@@ -572,6 +591,8 @@ impl CInstr {
             CInstr::MoveSlot { .. } => "spec.move",
             CInstr::LoadImm { .. } => "spec.load.imm",
             CInstr::BrBool { .. } => "spec.br.bool",
+            CInstr::IterIncrBytes { .. } => "spec.iter.incr",
+            CInstr::IterDerefBytes { .. } => "spec.iter.deref",
             // Observational modes pin execution to the generic tier, so
             // these only matter for completeness; they count under the
             // mnemonic of the op they replaced.
@@ -594,11 +615,31 @@ pub struct CompiledProgram {
     /// Global initializers, slot order (evaluated per context).
     pub global_inits: Vec<Option<Value>>,
     pub global_names: Vec<String>,
-    /// Struct type → field names. Behind `Rc`: every per-thread `Context`
+    /// Struct type → layout. Behind `Rc`: every per-thread `Context`
     /// shares the table instead of deep-cloning it.
-    pub struct_fields: Rc<HashMap<String, Vec<String>>>,
+    pub struct_layouts: Rc<HashMap<String, StructLayout>>,
     /// Overlay types, shared the same way.
     pub overlays: Rc<HashMap<String, Rc<OverlayType>>>,
+}
+
+/// A struct type's layout: its interned name and its field names in
+/// declaration order. Built once per program; field accesses borrow it and
+/// every instance shares `name`, so neither `struct.get`/`struct.set` nor
+/// `new` copies type metadata.
+#[derive(Clone, Debug)]
+pub struct StructLayout {
+    pub name: Rc<str>,
+    pub fields: Vec<String>,
+}
+
+impl StructLayout {
+    /// Index of `field`, or the generic path's IndexError.
+    pub fn field_index(&self, field: &str) -> RtResult<usize> {
+        self.fields
+            .iter()
+            .position(|f| f == field)
+            .ok_or_else(|| RtError::index(format!("struct {} has no field {field}", self.name)))
+    }
 }
 
 impl CompiledProgram {
@@ -612,14 +653,17 @@ pub fn compile(linked: &Linked) -> RtResult<CompiledProgram> {
     let mut prog = CompiledProgram::default();
 
     // Type tables (built flat, then shared behind Rc).
-    let mut struct_fields: HashMap<String, Vec<String>> = HashMap::new();
+    let mut struct_layouts: HashMap<String, StructLayout> = HashMap::new();
     let mut overlays: HashMap<String, Rc<OverlayType>> = HashMap::new();
     for (name, def) in &linked.types {
         match def {
             TypeDef::Struct(fields) => {
-                struct_fields.insert(
+                struct_layouts.insert(
                     name.clone(),
-                    fields.iter().map(|(n, _)| n.clone()).collect(),
+                    StructLayout {
+                        name: Rc::from(name.as_str()),
+                        fields: fields.iter().map(|(n, _)| n.clone()).collect(),
+                    },
                 );
             }
             TypeDef::Overlay(o) => {
@@ -628,7 +672,7 @@ pub fn compile(linked: &Linked) -> RtResult<CompiledProgram> {
             TypeDef::Enum(_) | TypeDef::Bitset(_) => {}
         }
     }
-    prog.struct_fields = Rc::new(struct_fields);
+    prog.struct_layouts = Rc::new(struct_layouts);
     prog.overlays = Rc::new(overlays);
 
     // Global slots.

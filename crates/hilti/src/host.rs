@@ -264,6 +264,12 @@ impl Program {
         vm::call(&self.compiled, &mut self.ctx, func, args)
     }
 
+    /// [`Program::run`] for a function already resolved to its index in
+    /// [`CompiledProgram::func_index`].
+    pub fn run_index(&mut self, func: u32, args: &[Value]) -> RtResult<Value> {
+        vm::call_index(&self.compiled, &mut self.ctx, func, args)
+    }
+
     /// Calls a void HILTI function on the compiled engine.
     pub fn run_void(&mut self, func: &str, args: &[Value]) -> RtResult<()> {
         self.run(func, args).map(|_| ())
@@ -281,7 +287,7 @@ impl Program {
         };
         let bodies = self.compiled.hooks[hi as usize].clone();
         for body in bodies {
-            let frames = vec![vm::Frame::new_public(&self.compiled, body, args.to_vec())];
+            let frames = vec![vm::Frame::new_public(&self.compiled, body, args)];
             match vm::run(&self.compiled, &mut self.ctx, frames, false)? {
                 vm::Outcome::Done(_) => {}
                 vm::Outcome::Suspended(_) => return Err(RtError::runtime("hook body suspended")),
@@ -671,6 +677,126 @@ done:
 }
 "#;
 
+    /// A byte-parsing loop shaped like the DNS grammar's `parse_name`:
+    /// length-prefixed labels stepped with `iterator.deref`/`incr`, sliced
+    /// with `bytes.sub` and joined with `string.concat`.
+    const NAME_LOOP: &str = r#"
+module M
+string parse_name(ref<bytes> data, iterator<bytes> it) {
+    local string name
+    local int<64> len
+    local iterator<bytes> cur
+    local iterator<bytes> start
+    local iterator<bytes> endp
+    local any lblb
+    local string lbls
+    local bool is_end
+    local bool isfirst
+    name = assign ""
+    cur = assign it
+name_loop:
+    len = iterator.deref cur
+    is_end = int.eq len 0
+    if.else is_end name_done name_label
+name_label:
+    start = iterator.incr cur 1
+    endp = iterator.incr start len
+    lblb = bytes.sub start endp
+    lbls = bytes.to_string lblb
+    isfirst = equal name ""
+    if.else isfirst name_app1 name_app2
+name_app1:
+    name = assign lbls
+    jump name_next
+name_app2:
+    name = string.concat name "."
+    name = string.concat name lbls
+name_next:
+    cur = assign endp
+    jump name_loop
+name_done:
+    return name
+}
+
+string parse(ref<bytes> data) {
+    local iterator<bytes> it
+    local string n
+    it = bytes.begin data
+    n = call parse_name (data, it)
+    return n
+}
+
+string past_end(ref<bytes> data) {
+    local iterator<bytes> it
+    local int<64> b
+    it = bytes.end data
+    try {
+        b = iterator.deref it
+    } catch ( ref<Hilti::IndexError> e ) {
+        local string m
+        m = exception.message e
+        return m
+    }
+    return "no exception"
+}
+"#;
+
+    /// What one scenario of [`NAME_LOOP`] observably did.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        result: Result<String, (hilti_rt::error::ExceptionKind, String)>,
+        fuel: u64,
+        trace: Vec<String>,
+    }
+
+    fn observe(
+        p: &mut Program,
+        trace: bool,
+        f: impl FnOnce(&mut Program) -> RtResult<Value>,
+    ) -> Observed {
+        p.context_mut().trace = trace;
+        let before = p.context().fuel_spent();
+        let result = f(p).map(|v| v.render()).map_err(|e| (e.kind, e.message));
+        Observed {
+            result,
+            fuel: p.context().fuel_spent() - before,
+            trace: p.context_mut().take_trace(),
+        }
+    }
+
+    fn name_scenarios(p: &mut Program, trace: bool) -> Vec<Observed> {
+        let wire = b"\x03www\x07example\x03com\x00";
+        let frozen = |b: &[u8]| Value::Bytes(hilti_rt::bytestring::Bytes::frozen_from_slice(b));
+        let mut out = vec![
+            observe(p, trace, |p| p.run("M::parse", &[frozen(wire)])),
+            // A label running past the frozen end, and a missing length
+            // byte there: uncaught IndexErrors from `bytes.sub` and from
+            // `iterator.deref`.
+            observe(p, trace, |p| {
+                p.run("M::parse", &[frozen(b"\x03www\x09exa")])
+            }),
+            observe(p, trace, |p| p.run("M::parse", &[frozen(b"\x03www")])),
+            // A read at the frozen end, caught by the program.
+            observe(p, trace, |p| p.run("M::past_end", &[frozen(wire)])),
+        ];
+        // Incremental input: the fiber suspends on WouldBlock mid-name and
+        // resumes once the rest arrives.
+        let data = hilti_rt::bytestring::Bytes::new();
+        data.append(&wire[..6]).unwrap();
+        let mut fiber = p.fiber("M::parse", vec![Value::Bytes(data.clone())]);
+        out.push(observe(p, trace, |p| match p.resume(&mut fiber)? {
+            crate::fiber::Step::Suspended => Ok(Value::str("suspended")),
+            crate::fiber::Step::Finished(v) => Ok(v),
+        }));
+        data.append(&wire[6..]).unwrap();
+        data.freeze();
+        out.push(observe(p, trace, |p| match p.resume(&mut fiber)? {
+            crate::fiber::Step::Suspended => Ok(Value::str("suspended")),
+            crate::fiber::Step::Finished(v) => Ok(v),
+        }));
+        out
+    }
+
     #[test]
     fn specializer_preserves_behaviour_and_traces() {
         let mut on = Program::from_sources(&[SUM_LOOP], OptLevel::None).unwrap();
@@ -685,6 +811,44 @@ done:
         .unwrap();
         assert!(on.spec_stats().total() > 0, "{:?}", on.spec_stats());
         assert_eq!(off.spec_stats().total(), 0);
+
+        // Byte parsing: the typed iterator ops leave values, exceptions,
+        // fuel and (traced) instruction streams exactly as they were.
+        let mut name_on = Program::from_sources(&[NAME_LOOP], OptLevel::None).unwrap();
+        let mut name_off = Program::from_sources_opts(
+            &[NAME_LOOP],
+            OptLevel::None,
+            BuildOptions {
+                specialize: false,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(
+            name_on.spec_stats().iters >= 4,
+            "{:?}",
+            name_on.spec_stats()
+        );
+        for trace in [false, true] {
+            let seen = name_scenarios(&mut name_on, trace);
+            assert_eq!(seen, name_scenarios(&mut name_off, trace), "trace={trace}");
+            let results: Vec<_> = seen.iter().map(|o| o.result.clone()).collect();
+            use hilti_rt::error::ExceptionKind::IndexError;
+            assert_eq!(
+                results,
+                vec![
+                    Ok("www.example.com".to_owned()),
+                    Err((IndexError, "range extends past frozen end".to_owned())),
+                    Err((IndexError, "offset 4 past frozen end 4".to_owned())),
+                    Ok("offset 17 past frozen end 17".to_owned()),
+                    Ok("suspended".to_owned()),
+                    Ok("www.example.com".to_owned()),
+                ]
+            );
+            assert_eq!(seen.iter().all(|o| !o.trace.is_empty()), trace);
+        }
+        // Untraced, the typed ops ran in the fast loop.
+        assert!(name_on.context().tier_mix().specialized > 0);
 
         on.context_mut().trace = true;
         off.context_mut().trace = true;

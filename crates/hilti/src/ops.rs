@@ -27,6 +27,7 @@ use hilti_rt::regexp::{MatchVerdict, Regex};
 use hilti_rt::time::{Interval, Time};
 use hilti_rt::timer::TimerMgr;
 
+use crate::bytecode::StructLayout;
 use crate::ir::Opcode;
 use crate::types::Type;
 use crate::value::{CallableVal, ExceptionVal, MapVal, SetVal, StructVal, TimerEntry, Value};
@@ -49,8 +50,9 @@ pub trait ExecCtx {
     fn register_expiring(&mut self, handle: ExpiringHandle);
     /// Expires entries in registered containers up to `t`.
     fn advance_expiring(&mut self, t: Time);
-    /// Looks up a struct type's field names, in declaration order.
-    fn struct_fields(&self, type_name: &str) -> Option<Vec<String>>;
+    /// Looks up a struct type's layout. The layout is borrowed from the
+    /// program's type table, so field resolution never copies it.
+    fn struct_layout(&self, type_name: &str) -> Option<&StructLayout>;
     /// Looks up an overlay type.
     fn overlay(&self, type_name: &str) -> Option<Rc<OverlayType>>;
     /// Opens (or returns the already-open) named output file.
@@ -267,12 +269,10 @@ pub fn instantiate(ty: &Type, extra: &[Value], ctx: &mut dyn ExecCtx) -> RtResul
             Value::Map(Rc::new(RefCell::new(m)))
         }
         Type::Struct(name) => {
-            let fields = ctx
-                .struct_fields(name)
-                .ok_or_else(|| RtError::type_error(format!("unknown struct type {name}")))?;
+            let layout = struct_layout(ctx, name)?;
             Value::Struct(Rc::new(RefCell::new(StructVal {
-                type_name: Rc::from(&**name),
-                fields: vec![Value::Null; fields.len()],
+                type_name: Rc::clone(&layout.name),
+                fields: vec![Value::Null; layout.fields.len()],
             })))
         }
         Type::Classifier(_, _) => {
@@ -450,9 +450,8 @@ pub fn eval(
         // --- strings -------------------------------------------------------
         StringConcat => {
             arity(args, 2, op)?;
-            let mut s = args[0].as_str()?.to_owned();
-            s.push_str(args[1].as_str()?);
-            Evaluated::value(Value::str(&s))
+            let (a, b) = (args[0].as_str()?, args[1].as_str()?);
+            Evaluated::value(Value::str(&[a, b].concat()))
         }
         StringLength => {
             arity(args, 1, op)?;
@@ -562,12 +561,12 @@ pub fn eval(
             Evaluated::value(Value::Int(args[0].as_bytes()?.len() as i64))
         }
         BytesSub => {
-            // (iter_begin, iter_end) → new frozen bytes of that range.
+            // (iter_begin, iter_end) → new frozen bytes of that range: a
+            // view sharing the input's chunk where possible.
             arity(args, 2, op)?;
             let a = args[0].as_bytes_iter()?;
             let b = args[1].as_bytes_iter()?;
-            let data = a.bytes().extract(a.offset(), b.offset())?;
-            Evaluated::value(Value::Bytes(Bytes::frozen_from_slice(&data)))
+            Evaluated::value(Value::Bytes(a.bytes().sub(a.offset(), b.offset())?))
         }
         BytesFind => {
             // (bytes, needle, from_iter) → tuple(bool found, iter pos).
@@ -604,9 +603,8 @@ pub fn eval(
         }
         BytesToString => {
             arity(args, 1, op)?;
-            Evaluated::value(Value::str(&String::from_utf8_lossy(
-                &args[0].as_bytes()?.to_vec(),
-            )))
+            let b = args[0].as_bytes()?;
+            Evaluated::value(b.with_contiguous(|s| Value::str(&String::from_utf8_lossy(s))))
         }
         BytesToInt => {
             arity(args, 2, op)?;
@@ -1677,14 +1675,13 @@ fn expire_strategy(v: &Value) -> RtResult<ExpireStrategy> {
     }
 }
 
+fn struct_layout<'c>(ctx: &'c dyn ExecCtx, type_name: &str) -> RtResult<&'c StructLayout> {
+    ctx.struct_layout(type_name)
+        .ok_or_else(|| RtError::type_error(format!("unknown struct type {type_name}")))
+}
+
 fn struct_field_index(ctx: &dyn ExecCtx, type_name: &str, field: &str) -> RtResult<usize> {
-    let fields = ctx
-        .struct_fields(type_name)
-        .ok_or_else(|| RtError::type_error(format!("unknown struct type {type_name}")))?;
-    fields
-        .iter()
-        .position(|f| f == field)
-        .ok_or_else(|| RtError::index(format!("struct {type_name} has no field {field}")))
+    struct_layout(ctx, type_name)?.field_index(field)
 }
 
 fn classifier_fields(v: &Value) -> RtResult<Vec<FieldMatcher>> {
@@ -1738,7 +1735,7 @@ mod tests {
         out: Vec<String>,
         time: Time,
         expiring: Vec<ExpiringHandle>,
-        structs: HashMap<String, Vec<String>>,
+        structs: HashMap<String, StructLayout>,
         files: HashMap<String, LogFile>,
     }
 
@@ -1747,7 +1744,10 @@ mod tests {
             let mut structs = HashMap::new();
             structs.insert(
                 "Conn".to_owned(),
-                vec!["orig".to_owned(), "resp".to_owned()],
+                StructLayout {
+                    name: Rc::from("Conn"),
+                    fields: vec!["orig".to_owned(), "resp".to_owned()],
+                },
             );
             TestCtx {
                 out: Vec::new(),
@@ -1784,8 +1784,8 @@ mod tests {
                 }
             }
         }
-        fn struct_fields(&self, name: &str) -> Option<Vec<String>> {
-            self.structs.get(name).cloned()
+        fn struct_layout(&self, name: &str) -> Option<&StructLayout> {
+            self.structs.get(name)
         }
         fn overlay(&self, _name: &str) -> Option<Rc<OverlayType>> {
             Some(Rc::new(OverlayType::ipv4_header()))

@@ -16,7 +16,10 @@
 //!    group, and integer comparisons whose operands are all provably
 //!    `int<n>` slots or integer immediates become `AddInt`-style variants;
 //!    `assign` into a local becomes `MoveSlot`/`LoadImm`; a branch on a
-//!    statically bool slot becomes `BrBool`.
+//!    statically bool slot becomes `BrBool`; `iterator.incr` and
+//!    `iterator.deref` on an `iterator<bytes>` slot — the byte-stepping
+//!    core of every generated parser — become `IterIncrBytes` and
+//!    `IterDerefBytes`.
 //! 2. **Superinstruction fusion.** A `CmpInt` immediately followed by a
 //!    branch on its result fuses into `BrIfInt` — the dominant
 //!    `cmp`+`br_if` pair of loop headers collapses to one dispatch. The
@@ -27,9 +30,11 @@
 //! This pass is also the feeder for the tier above it: under
 //! `--tiering=threaded`, the adaptive tier re-runs it with observed types
 //! and then hands the specialized body to [`crate::threaded::compile`],
-//! which flattens it into pre-bound direct-threaded ops — so every rewrite
-//! here (including the fused `BrIfInt` and its two-unit fuel charge) has a
-//! 1:1 pc-preserving counterpart on the top rung.
+//! which flattens it into pre-bound direct-threaded ops — so every int,
+//! move and branch rewrite here (including the fused `BrIfInt` and its
+//! two-unit fuel charge) has a 1:1 pc-preserving counterpart on the top
+//! rung. The byte-iterator rewrites have none: they lower to a deopt and
+//! run on the generic loop.
 //!
 //! Type guards are deliberately conservative: anything touching a global,
 //! an `any`-typed slot, or a `GlobalStore` wrapper keeps the generic path,
@@ -59,11 +64,14 @@ pub struct SpecStats {
     pub branches: usize,
     /// Compare-and-branch pairs fused into `BrIfInt`.
     pub fused: usize,
+    /// `iterator.incr`/`iterator.deref` on `iterator<bytes>` slots replaced
+    /// by `IterIncrBytes`/`IterDerefBytes`.
+    pub iters: usize,
 }
 
 impl SpecStats {
     pub fn total(&self) -> usize {
-        self.arith + self.cmps + self.moves + self.branches + self.fused
+        self.arith + self.cmps + self.moves + self.branches + self.fused + self.iters
     }
 }
 
@@ -97,6 +105,14 @@ pub(crate) fn specialize_func_with_types(
         .map(|t| matches!(t, Type::Int(_)))
         .collect();
     let is_bool: Vec<bool> = slot_types.iter().map(|t| matches!(t, Type::Bool)).collect();
+    let is_iter = |op: &COperand| -> Option<u16> {
+        match op {
+            COperand::Slot(s) if matches!(slot_types.get(*s as usize), Some(Type::BytesIter)) => {
+                Some(*s)
+            }
+            _ => None,
+        }
+    };
 
     // An operand usable by a typed int instruction: a slot statically
     // declared int, or an integer constant. Globals (shared, any write
@@ -178,6 +194,20 @@ pub(crate) fn specialize_func_with_types(
                         }
                         COperand::Global(_) => None,
                     },
+                    // Byte-iterator stepping: the iterator operand must be
+                    // a statically `iterator<bytes>` slot, the amount an
+                    // int slot or immediate.
+                    (Opcode::IterIncr, 2) => match (is_iter(&args[0]), int_src(&args[1])) {
+                        (Some(it), Some(n)) => {
+                            stats.iters += 1;
+                            Some(CInstr::IterIncrBytes { dst, it, n })
+                        }
+                        _ => None,
+                    },
+                    (Opcode::IterDeref, 1) => is_iter(&args[0]).map(|it| {
+                        stats.iters += 1;
+                        CInstr::IterDerefBytes { dst, it }
+                    }),
                     _ => None,
                 }
             }
@@ -382,17 +412,59 @@ int<64> f(int<64> a) {
         );
     }
 
+    const ITER: &str = r#"
+module M
+int<64> f(ref<bytes> d, any a, int<64> n) {
+    local iterator<bytes> it
+    local any loose
+    local int<64> b
+    local int<64> c
+    it = bytes.begin d
+    b = iterator.deref it
+    it = iterator.incr it n
+    it = iterator.incr it 2
+    loose = bytes.begin d
+    c = iterator.deref loose
+    loose = iterator.incr it a
+    return b
+}
+"#;
+
+    #[test]
+    fn byte_iterator_ops_specialize_on_typed_slots_only() {
+        let (prog, stats) = specialized(ITER);
+        let f = prog.func("M::f").unwrap();
+        let incr = f
+            .code
+            .iter()
+            .filter(|i| matches!(i, CInstr::IterIncrBytes { .. }))
+            .count();
+        let deref = f
+            .code
+            .iter()
+            .filter(|i| matches!(i, CInstr::IterDerefBytes { .. }))
+            .count();
+        // The `any`-typed iterator and the `any`-typed amount stay generic.
+        assert_eq!((incr, deref), (2, 1), "{:#?}", f.code);
+        assert_eq!(stats.iters, 3, "{stats:?}");
+        assert_eq!(stats.moves, 0, "{stats:?}");
+    }
+
     #[test]
     fn specialized_render_matches_generic() {
         // Trace parity: the specialized instruction renders exactly like
         // the generic one it replaced.
-        let m = parse_module(LOOP).unwrap();
-        let linked = link_with_priorities(vec![m]).unwrap();
-        let plain = crate::bytecode::compile(&linked).unwrap();
-        let mut spec = plain.clone();
-        specialize_program(&mut spec);
-        let pf = plain.func("M::sum").unwrap();
-        let sf = spec.func("M::sum").unwrap();
+        for (src, func) in [(LOOP, "M::sum"), (ITER, "M::f")] {
+            let m = parse_module(src).unwrap();
+            let linked = link_with_priorities(vec![m]).unwrap();
+            let plain = crate::bytecode::compile(&linked).unwrap();
+            let mut spec = plain.clone();
+            specialize_program(&mut spec);
+            assert_renders_match(plain.func(func).unwrap(), spec.func(func).unwrap());
+        }
+    }
+
+    fn assert_renders_match(pf: &CFunc, sf: &CFunc) {
         for (p, s) in pf.code.iter().zip(sf.code.iter()) {
             if matches!(s, CInstr::BrIfInt { .. }) {
                 // Fused: renders as "cmp ; branch"; the VM traces it as

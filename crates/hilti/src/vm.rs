@@ -27,7 +27,9 @@ use hilti_rt::overlay::{OverlayType, Unpacked};
 use hilti_rt::telemetry::{EventSink, Telemetry};
 use hilti_rt::time::Time;
 
-use crate::bytecode::{CFunc, CInstr, COperand, CompiledProgram, IcEntry, IcSite, IntSrc};
+use crate::bytecode::{
+    CFunc, CInstr, COperand, CompiledProgram, IcEntry, IcSite, IntSrc, StructLayout,
+};
 use crate::ops::{self, ExecCtx, ExpiringHandle};
 use crate::threaded::{TOp, TSrc, ThreadedFunc};
 use crate::tier::{TierCode, TierConfig, TierEngine, TierPoll, TierReport, TieringMode};
@@ -62,7 +64,7 @@ pub struct Context {
     pub scheduled: Vec<(u64, CallableVal)>,
     /// Struct/overlay tables shared with the program (`Rc`: spawning a
     /// virtual-thread context must not deep-copy whole type tables).
-    pub struct_fields: Rc<HashMap<String, Vec<String>>>,
+    pub struct_layouts: Rc<HashMap<String, StructLayout>>,
     pub overlays: Rc<HashMap<String, Rc<OverlayType>>>,
     /// When set, every executed instruction is appended to `trace_log`
     /// (`hiltic run --trace`; the paper's §3.1 debugging support).
@@ -174,7 +176,7 @@ impl Context {
             counters: hilti_rt::telemetry::Registry::new(),
             thread_id: 0,
             scheduled: Vec::new(),
-            struct_fields: Rc::clone(&prog.struct_fields),
+            struct_layouts: Rc::clone(&prog.struct_layouts),
             overlays: Rc::clone(&prog.overlays),
             trace: false,
             trace_log: Vec::new(),
@@ -614,6 +616,7 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
         | CInstr::CmpInt { .. }
         | CInstr::BrIfInt { .. } => "int",
         CInstr::MoveSlot { .. } | CInstr::LoadImm { .. } => "assign",
+        CInstr::IterIncrBytes { .. } | CInstr::IterDerefBytes { .. } => "iterator",
         // Observational modes pin execution to the generic tier, so these
         // never appear in a profile; classes mirror the generic ops anyway.
         CInstr::StructGetIC { .. } | CInstr::StructSetIC { .. } => "struct",
@@ -658,8 +661,8 @@ impl ExecCtx for Context {
         }
     }
 
-    fn struct_fields(&self, type_name: &str) -> Option<Vec<String>> {
-        self.struct_fields.get(type_name).cloned()
+    fn struct_layout(&self, type_name: &str) -> Option<&StructLayout> {
+        self.struct_layouts.get(type_name)
     }
 
     fn overlay(&self, type_name: &str) -> Option<Rc<OverlayType>> {
@@ -739,12 +742,32 @@ pub struct Frame {
 
 impl Frame {
     /// Builds a fresh activation record (public for the host API).
-    pub fn new_public(prog: &CompiledProgram, func: u32, args: Vec<Value>) -> Frame {
+    pub fn new_public(prog: &CompiledProgram, func: u32, args: &[Value]) -> Frame {
         Frame::new(prog, func, args)
     }
 
-    fn new(prog: &CompiledProgram, func: u32, args: Vec<Value>) -> Frame {
-        Frame::new_pooled(prog, func, args, &mut Vec::new())
+    /// Builds an activation record whose parameters are cloned straight
+    /// from `args` into fresh slot storage.
+    fn new(prog: &CompiledProgram, func: u32, args: &[Value]) -> Frame {
+        let cf = &prog.funcs[func as usize];
+        let mut slots = vec![Value::Null; cf.n_slots as usize];
+        for (slot, a) in slots.iter_mut().zip(args.iter().take(cf.n_params as usize)) {
+            *slot = a.clone();
+        }
+        Frame::from_slots(func, slots)
+    }
+
+    /// The activation record of `func` over a slot vector whose parameter
+    /// slots are already filled.
+    fn from_slots(func: u32, slots: Vec<Value>) -> Frame {
+        Frame {
+            func,
+            pc: 0,
+            slots,
+            handlers: Vec::new(),
+            ret_slot: None,
+            ret_global: None,
+        }
     }
 
     /// Builds an activation record, reusing a slot vector from `pool` when
@@ -782,14 +805,7 @@ impl Frame {
         for (i, a) in args.drain(..).enumerate().take(cf.n_params as usize) {
             slots[i] = a;
         }
-        Frame {
-            func,
-            pc: 0,
-            slots,
-            handlers: Vec::new(),
-            ret_slot: None,
-            ret_global: None,
-        }
+        Frame::from_slots(func, slots)
     }
 }
 
@@ -809,19 +825,23 @@ pub fn call(
     func: &str,
     args: &[Value],
 ) -> RtResult<Value> {
-    let fi = *prog
-        .func_index
-        .get(func)
-        .ok_or_else(|| RtError::value(format!("unknown function {func}")))?;
-    ctx.tier_note_call(prog.funcs.len(), fi, args);
-    let frames = vec![Frame::new(prog, fi, args.to_vec())];
-    let spent_before = ctx.fuel_spent;
-    let result = run(prog, ctx, frames, false);
-    ctx.telemetry_flush_run(spent_before);
-    match result? {
+    call_index(prog, ctx, resolve(prog, func)?, args)
+}
+
+/// [`call`] with the function already resolved to its index (see
+/// [`CompiledProgram::func_index`]): hosts that enter the same function
+/// for every PDU resolve it once and skip the name lookup.
+pub fn call_index(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    fi: u32,
+    args: &[Value],
+) -> RtResult<Value> {
+    match enter(prog, ctx, fi, args, false)? {
         Outcome::Done(v) => Ok(v),
         Outcome::Suspended(_) => Err(RtError::runtime(format!(
-            "{func} suspended outside a fiber"
+            "{} suspended outside a fiber",
+            prog.funcs[fi as usize].name
         ))),
     }
 }
@@ -833,14 +853,29 @@ pub fn start_resumable(
     func: &str,
     args: &[Value],
 ) -> RtResult<Outcome> {
-    let fi = *prog
-        .func_index
+    enter(prog, ctx, resolve(prog, func)?, args, true)
+}
+
+/// Resolves a function name, with the error every entry point reports.
+fn resolve(prog: &CompiledProgram, func: &str) -> RtResult<u32> {
+    prog.func_index
         .get(func)
-        .ok_or_else(|| RtError::value(format!("unknown function {func}")))?;
+        .copied()
+        .ok_or_else(|| RtError::value(format!("unknown function {func}")))
+}
+
+/// Runs function `fi` from a fresh entry frame.
+fn enter(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    fi: u32,
+    args: &[Value],
+    resumable: bool,
+) -> RtResult<Outcome> {
     ctx.tier_note_call(prog.funcs.len(), fi, args);
-    let frames = vec![Frame::new(prog, fi, args.to_vec())];
+    let frames = vec![Frame::new(prog, fi, args)];
     let spent_before = ctx.fuel_spent;
-    let result = run(prog, ctx, frames, true);
+    let result = run(prog, ctx, frames, resumable);
     ctx.telemetry_flush_run(spent_before);
     result
 }
@@ -1109,6 +1144,36 @@ pub fn run(
                         frame.pc = *pc;
                         fuel -= 1;
                     }
+                    // Wherever the generic arm would raise (WouldBlock,
+                    // IndexError, TypeError) the loop breaks uncharged and
+                    // that arm re-executes the op and owns the error.
+                    CInstr::IterIncrBytes { dst, it, n } => {
+                        if fuel < 1 {
+                            break;
+                        }
+                        let (Some(Value::BytesIter(i)), Some(n)) =
+                            (frame.slots.get(*it as usize), int_operand(frame, *n))
+                        else {
+                            break;
+                        };
+                        frame.slots[*dst as usize] = Value::BytesIter(i.advance(n.max(0) as u64));
+                        frame.pc += 1;
+                        fuel -= 1;
+                    }
+                    CInstr::IterDerefBytes { dst, it } => {
+                        if fuel < 1 {
+                            break;
+                        }
+                        let Some(b) = (match frame.slots.get(*it as usize) {
+                            Some(Value::BytesIter(i)) => i.peek(),
+                            _ => None,
+                        }) else {
+                            break;
+                        };
+                        frame.slots[*dst as usize] = Value::Int(i64::from(b));
+                        frame.pc += 1;
+                        fuel -= 1;
+                    }
                     _ => break,
                 }
             }
@@ -1310,7 +1375,7 @@ pub fn run(
                 for body in bodies {
                     // Hook bodies run synchronously, in priority order
                     // (nested execution; hooks do not suspend).
-                    let sub = vec![Frame::new(prog, body, hook_args.clone())];
+                    let sub = vec![Frame::new(prog, body, &hook_args)];
                     match run(prog, ctx, sub, false)? {
                         Outcome::Done(_) => {}
                         Outcome::Suspended(_) => unreachable!("non-resumable"),
@@ -1572,6 +1637,32 @@ pub fn run(
             },
             CInstr::Jump(pc) => {
                 frame.pc = *pc;
+            }
+            // The generic op's checks in its order: the iterator, then the
+            // amount; the byte read raises exactly like `Bytes::at`.
+            CInstr::IterIncrBytes { dst, it, n } => {
+                let stepped = frame.slots[*it as usize]
+                    .as_bytes_iter()
+                    .and_then(|i| Ok(i.advance(int_src(frame, *n)?.max(0) as u64)));
+                match stepped {
+                    Ok(i) => {
+                        frame.slots[*dst as usize] = Value::BytesIter(i);
+                        frame.pc += 1;
+                    }
+                    Err(e) => raise!(e),
+                }
+            }
+            CInstr::IterDerefBytes { dst, it } => {
+                match frame.slots[*it as usize]
+                    .as_bytes_iter()
+                    .and_then(|i| i.deref())
+                {
+                    Ok(b) => {
+                        frame.slots[*dst as usize] = Value::Int(i64::from(b));
+                        frame.pc += 1;
+                    }
+                    Err(e) => raise!(e),
+                }
             }
             CInstr::Branch {
                 cond,
@@ -2121,7 +2212,7 @@ pub fn run_callable(
     args.extend(extra.iter().cloned());
     if let Some(fi) = prog.func_index.get(&*c.func).copied() {
         ctx.tier_note_call(prog.funcs.len(), fi, &args);
-        let frames = vec![Frame::new(prog, fi, args)];
+        let frames = vec![Frame::new(prog, fi, &args)];
         match run(prog, ctx, frames, false)? {
             Outcome::Done(v) => Ok(v),
             Outcome::Suspended(_) => unreachable!("non-resumable"),
@@ -2164,18 +2255,16 @@ fn struct_ic_index(
     }
     site.misses += 1;
     ctx.ic_miss();
-    // Generic resolution — identical to `ops::struct_field_index`, minus
-    // the per-access `Vec<String>` clone the `ExecCtx` interface forces.
-    let fields = ctx
-        .struct_fields
+    // Generic resolution against the borrowed layout — the same lookup and
+    // errors as `ops::struct_field_index`; the refilled entry shares the
+    // layout's interned name, so a miss allocates nothing either.
+    let layout = ctx
+        .struct_layouts
         .get(type_name)
         .ok_or_else(|| RtError::type_error(format!("unknown struct type {type_name}")))?;
-    let idx = fields
-        .iter()
-        .position(|f| f == field)
-        .ok_or_else(|| RtError::index(format!("struct {type_name} has no field {field}")))?;
+    let idx = layout.field_index(field)?;
     site.refill(IcEntry::Struct {
-        type_name: Rc::from(type_name),
+        type_name: Rc::clone(&layout.name),
         field_idx: idx as u32,
     });
     Ok(idx)

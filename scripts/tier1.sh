@@ -27,7 +27,7 @@ if [ -n "$HILTI_TIERING" ]; then
 fi
 
 cargo build --release "$@"
-cargo test -q "$@"
+cargo test -q --workspace "$@"
 cargo clippy --workspace "$@" -- -D warnings
 
 # Parallel-pipeline determinism gate: the differential suite (N workers
