@@ -78,8 +78,6 @@ pub fn compile_script(script: &Script) -> RtResult<String> {
         out.push_str("}\n\n");
     }
 
-    out.push_str("void set_time(time t) {\n    timer_mgr.advance_global t\n}\n\n");
-
     // Event handlers → hooks.
     for h in &script.handlers {
         let mut gen = Gen::new(script);

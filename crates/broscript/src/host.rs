@@ -13,6 +13,7 @@
 //! registered as host functions (`call.c`) for the compiled program — so
 //! outputs are comparable byte for byte.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -37,6 +38,8 @@ use crate::parse::parse_script;
 pub struct BroRt {
     pub net_time: Time,
     pub logs: HashMap<String, LogFile>,
+    /// Reused text buffer of `cat`.
+    scratch: String,
 }
 
 impl BroRt {
@@ -46,15 +49,29 @@ impl BroRt {
         }
     }
 
-    pub fn log(&mut self, name: &str) -> LogFile {
+    /// Appends `line` to the named log stream, opening it on first use.
+    pub fn write_log(&mut self, name: &str, line: &str) -> RtResult<()> {
+        if let Some(log) = self.logs.get(name) {
+            return log.write_line(line);
+        }
         self.logs
             .entry(name.to_owned())
             .or_insert_with(|| LogFile::in_memory(name))
-            .clone()
+            .write_line(line)
     }
 
     pub fn log_lines(&self, name: &str) -> Vec<String> {
         self.logs.get(name).map(|l| l.lines()).unwrap_or_default()
+    }
+}
+
+/// The rendered text of an optional argument, borrowed when it already
+/// is a string; a missing argument reads as "".
+fn text(arg: Option<&Value>) -> Cow<'_, str> {
+    match arg {
+        Some(Value::String(s)) => Cow::Borrowed(s),
+        Some(v) => Cow::Owned(v.render()),
+        None => Cow::Borrowed(""),
     }
 }
 
@@ -65,21 +82,26 @@ pub fn call_builtin(
     rt: &Rc<RefCell<BroRt>>,
 ) -> Option<RtResult<Value>> {
     let result = match name {
-        "cat" => Ok(Value::str(
-            &args.iter().map(Value::render).collect::<Vec<_>>().join(""),
-        )),
+        "cat" => {
+            let scratch = &mut rt.borrow_mut().scratch;
+            scratch.clear();
+            for a in args {
+                a.render_into(scratch);
+            }
+            Ok(Value::str(scratch))
+        }
         "sha1" => args
             .first()
             .ok_or_else(|| RtError::type_error("sha1 needs one argument"))
-            .map(|v| Value::str(&sha1_hex(v.render().as_bytes()))),
+            .map(|v| Value::str(&sha1_hex(text(Some(v)).as_bytes()))),
         "mime_type" => {
             // (body_prefix, declared_content_type) — "-" means undeclared.
-            let body = args.first().map(Value::render).unwrap_or_default();
-            let declared = args.get(1).map(Value::render).unwrap_or_default();
+            let body = text(args.first());
+            let declared = text(args.get(1));
             let declared_opt = if declared.is_empty() || declared == "-" {
                 None
             } else {
-                Some(declared.as_str())
+                Some(&*declared)
             };
             Ok(Value::str(
                 &netpkt::http::sniff_mime(body.as_bytes(), declared_opt)
@@ -97,14 +119,14 @@ pub fn call_builtin(
             .and_then(Value::as_int)
             .map(|r| Value::str(&dns_rcodes::name(r as u16))),
         "join" => {
-            let sep = args.get(1).map(Value::render).unwrap_or_default();
+            let sep = text(args.get(1));
             match args.first() {
                 Some(Value::Vector(v)) => Ok(Value::str(
                     &v.borrow()
                         .iter()
                         .map(Value::render)
                         .collect::<Vec<_>>()
-                        .join(&sep),
+                        .join(&*sep),
                 )),
                 other => Err(RtError::type_error(format!(
                     "join needs a vector, got {other:?}"
@@ -114,14 +136,14 @@ pub fn call_builtin(
         "to_lower" => args
             .first()
             .ok_or_else(|| RtError::type_error("to_lower needs one argument"))
-            .map(|v| Value::str(&v.render().to_lowercase())),
+            .map(|v| Value::str(&text(Some(v)).to_lowercase())),
         "starts_with" => {
-            let s = args.first().map(Value::render).unwrap_or_default();
-            let p = args.get(1).map(Value::render).unwrap_or_default();
-            Ok(Value::Bool(s.starts_with(&p)))
+            let s = text(args.first());
+            let p = text(args.get(1));
+            Ok(Value::Bool(s.starts_with(&*p)))
         }
         "sub_str" => {
-            let s = args.first().map(Value::render).unwrap_or_default();
+            let s = text(args.first());
             let start = args
                 .get(1)
                 .and_then(|v| v.as_int().ok())
@@ -137,16 +159,14 @@ pub fn call_builtin(
             ))
         }
         "to_count" => {
-            let s = args.first().map(Value::render).unwrap_or_default();
+            let s = text(args.first());
             Ok(Value::Int(s.trim().parse().unwrap_or(0)))
         }
         "network_time" => Ok(Value::Time(rt.borrow().net_time)),
-        "log_write" => {
-            let stream = args.first().map(Value::render).unwrap_or_default();
-            let line = args.get(1).map(Value::render).unwrap_or_default();
-            let log = rt.borrow_mut().log(&stream);
-            log.write_line(&line).map(|_| Value::Null)
-        }
+        "log_write" => rt
+            .borrow_mut()
+            .write_log(&text(args.first()), &text(args.get(1)))
+            .map(|_| Value::Null),
         _ => return None,
     };
     Some(result)
@@ -194,8 +214,35 @@ pub struct ScriptHost {
     script: Rc<Script>,
     interp: Option<Interp>,
     program: Option<hilti::Program>,
+    /// Compiled engine: event name → index of its `Bro::event_<name>`
+    /// hook, resolved once at load so dispatch neither formats nor
+    /// allocates a hook name.
+    hooks: HashMap<String, u32>,
     rt: Rc<RefCell<BroRt>>,
     profiler: Option<Profiler>,
+}
+
+/// Wires a freshly built compiled program to the script runtime: the
+/// builtin library as host functions, globals initialized, and every
+/// event hook resolved to its index.
+fn load_compiled(
+    mut program: hilti::Program,
+    rt: &Rc<RefCell<BroRt>>,
+) -> RtResult<(hilti::Program, HashMap<String, u32>)> {
+    for (name, _) in BUILTINS {
+        let rt2 = rt.clone();
+        program.register_host_fn(name, move |args| {
+            call_builtin(name, args, &rt2).unwrap_or_else(|| Err(RtError::value("missing builtin")))
+        });
+    }
+    program.run_void("Bro::init_globals", &[])?;
+    let hooks = program
+        .compiled()
+        .hook_index
+        .iter()
+        .filter_map(|(name, &hi)| Some((name.strip_prefix("Bro::event_")?.to_owned(), hi)))
+        .collect();
+    Ok((program, hooks))
 }
 
 impl ScriptHost {
@@ -248,13 +295,14 @@ impl ScriptHost {
                     script,
                     interp: Some(interp),
                     program: None,
+                    hooks: HashMap::new(),
                     rt,
                     profiler,
                 })
             }
             Engine::Compiled => {
                 let src = compile_script(&script)?;
-                let mut program = hilti::Program::from_sources_opts(
+                let program = hilti::Program::from_sources_opts(
                     &[&src],
                     hilti::passes::OptLevel::Full,
                     hilti::host::BuildOptions {
@@ -262,21 +310,13 @@ impl ScriptHost {
                         ..Default::default()
                     },
                 )?;
-                // Register the builtin library as host functions.
-                for (name, _) in BUILTINS {
-                    let rt2 = rt.clone();
-                    let name2 = name.to_string();
-                    program.register_host_fn(name, move |args| {
-                        call_builtin(&name2, args, &rt2)
-                            .unwrap_or_else(|| Err(RtError::value("missing builtin")))
-                    });
-                }
-                program.run_void("Bro::init_globals", &[])?;
+                let (program, hooks) = load_compiled(program, &rt)?;
                 Ok(ScriptHost {
                     engine,
                     script,
                     interp: None,
                     program: Some(program),
+                    hooks,
                     rt,
                     profiler,
                 })
@@ -334,27 +374,20 @@ impl ScriptHost {
                     script,
                     interp: Some(interp),
                     program: None,
+                    hooks: HashMap::new(),
                     rt,
                     profiler,
                 })
             }
             Engine::Compiled => {
                 let ir = bp.ir.as_ref().expect("compiled blueprint carries IR");
-                let mut program = hilti::Program::from_ir(ir.clone())?;
-                for (name, _) in BUILTINS {
-                    let rt2 = rt.clone();
-                    let name2 = name.to_string();
-                    program.register_host_fn(name, move |args| {
-                        call_builtin(&name2, args, &rt2)
-                            .unwrap_or_else(|| Err(RtError::value("missing builtin")))
-                    });
-                }
-                program.run_void("Bro::init_globals", &[])?;
+                let (program, hooks) = load_compiled(hilti::Program::from_ir(ir.clone())?, &rt)?;
                 Ok(ScriptHost {
                     engine: bp.engine,
                     script,
                     interp: None,
                     program: Some(program),
+                    hooks,
                     rt,
                     profiler,
                 })
@@ -381,6 +414,21 @@ impl ScriptHost {
         }
     }
 
+    /// Fuel left in the budget of the last [`ScriptHost::set_limits`]
+    /// (`u64::MAX` under an unlimited budget).
+    pub fn fuel_remaining(&self) -> u64 {
+        match self.engine {
+            Engine::Interpreted => self.interp.as_ref().expect("engine").fuel_remaining(),
+            Engine::Compiled => self
+                .program
+                .as_ref()
+                .expect("engine")
+                .context()
+                .fuel_remaining()
+                .unwrap_or(u64::MAX),
+        }
+    }
+
     /// Attaches a telemetry bundle to the script engine. The compiled
     /// engine reports retired instructions per dispatch and emits
     /// resource-limit events to the sink; the reference interpreter has no
@@ -395,21 +443,21 @@ impl ScriptHost {
         }
     }
 
-    /// Advances script network time (drives container expiration).
+    /// Advances script network time (drives container expiration). On
+    /// both engines this is a direct runtime call that charges no fuel;
+    /// the compiled engine does not enter the VM for it.
     pub fn advance_time(&mut self, t: Time) -> RtResult<()> {
         match self.engine {
-            Engine::Interpreted => {
-                self.interp.as_mut().expect("engine").advance_time(t);
-                Ok(())
-            }
+            Engine::Interpreted => self.interp.as_mut().expect("engine").advance_time(t),
             Engine::Compiled => {
                 self.rt.borrow_mut().advance(t);
                 self.program
                     .as_mut()
                     .expect("engine")
-                    .run_void("Bro::set_time", &[Value::Time(t)])
+                    .advance_global_time(t);
             }
         }
+        Ok(())
     }
 
     /// Dispatches one protocol event to the script's handlers.
@@ -451,11 +499,14 @@ impl ScriptHost {
             .map(|p| p.enter(Component::ScriptExecution));
         match self.engine {
             Engine::Interpreted => self.interp.as_mut().expect("engine").dispatch(event, args),
-            Engine::Compiled => self
-                .program
-                .as_mut()
-                .expect("engine")
-                .run_hook(&format!("Bro::event_{event}"), args),
+            Engine::Compiled => match self.hooks.get(event) {
+                Some(&hi) => self
+                    .program
+                    .as_mut()
+                    .expect("engine")
+                    .run_hook_index(hi, args),
+                None => Ok(()), // no handler for this event
+            },
         }
     }
 

@@ -13,7 +13,8 @@
 //! expired entries. Internally each container keeps a deadline-ordered queue
 //! with lazy invalidation — re-touching an entry does not have to search the
 //! queue, it just enqueues a fresh deadline and the stale one is discarded
-//! when popped.
+//! when popped. Only the small queue record stays behind: the record's
+//! key copy is dropped as soon as the entry is removed or re-stamped.
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry as HmEntry;
@@ -56,8 +57,9 @@ struct Stamped<V> {
 pub struct ExpiringMap<K, V> {
     entries: HashMap<K, Stamped<V>>,
     /// Deadline-ordered queue of (deadline, seq) records; `seq_keys` maps a
-    /// record back to its key. Records whose seq no longer matches the
-    /// entry's authoritative `stamp_seq` are stale and skipped on pop.
+    /// live entry's authoritative record back to its key, so it holds one
+    /// key per stamped entry. Queue records missing from `seq_keys` are
+    /// stale and skipped on pop.
     queue: BinaryHeap<Reverse<(Time, u64)>>,
     seq_keys: HashMap<u64, K>,
     next_seq: u64,
@@ -163,6 +165,12 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         }
     }
 
+    /// Forgets the key copy of a superseded deadline record; the queue
+    /// record itself stays and is skipped when popped.
+    fn unstamp(&mut self, stamp_seq: u64) {
+        self.seq_keys.remove(&stamp_seq);
+    }
+
     /// Inserts or replaces; the entry's timeout (re)starts at `now`.
     ///
     /// An attached budget is charged for genuinely new keys but *not*
@@ -174,17 +182,7 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
                 b.charge_unchecked(Self::entry_cost());
             }
         }
-        let (deadline, stamp_seq) = self.stamp(&key, now);
-        self.entries
-            .insert(
-                key,
-                Stamped {
-                    value,
-                    deadline,
-                    stamp_seq,
-                },
-            )
-            .map(|s| s.value)
+        self.put(key, value, now)
     }
 
     /// Like [`ExpiringMap::insert`], but fails with
@@ -194,46 +192,51 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
         if !self.entries.contains_key(&key) {
             self.charge_entry()?;
         }
+        Ok(self.put(key, value, now))
+    }
+
+    /// Stores `value` under `key` with a fresh deadline (no budget
+    /// accounting), returning the replaced value.
+    fn put(&mut self, key: K, value: V, now: Time) -> Option<V> {
         let (deadline, stamp_seq) = self.stamp(&key, now);
-        Ok(self
-            .entries
-            .insert(
-                key,
-                Stamped {
-                    value,
-                    deadline,
-                    stamp_seq,
-                },
-            )
-            .map(|s| s.value))
+        let old = self.entries.insert(
+            key,
+            Stamped {
+                value,
+                deadline,
+                stamp_seq,
+            },
+        )?;
+        self.unstamp(old.stamp_seq);
+        Some(old.value)
     }
 
     /// Reads an entry. Under [`ExpireStrategy::Access`] this refreshes the
     /// entry's deadline.
     pub fn get(&mut self, key: &K, now: Time) -> Option<&V> {
-        let refresh = matches!(self.policy, Some((ExpireStrategy::Access, _)));
-        if refresh && self.entries.contains_key(key) {
-            let (deadline, stamp_seq) = self.stamp(key, now);
-            if let Some(s) = self.entries.get_mut(key) {
-                s.deadline = deadline;
-                s.stamp_seq = stamp_seq;
-            }
-        }
+        self.touch(key, now);
         self.entries.get(key).map(|s| &s.value)
     }
 
     /// Mutable access; always counts as an access for the policy.
     pub fn get_mut(&mut self, key: &K, now: Time) -> Option<&mut V> {
+        self.touch(key, now);
+        self.entries.get_mut(key).map(|s| &mut s.value)
+    }
+
+    /// An access under [`ExpireStrategy::Access`]: re-stamps a present
+    /// entry's deadline from `now`.
+    fn touch(&mut self, key: &K, now: Time) {
         if matches!(self.policy, Some((ExpireStrategy::Access, _)))
             && self.entries.contains_key(key)
         {
             let (deadline, stamp_seq) = self.stamp(key, now);
             if let Some(s) = self.entries.get_mut(key) {
                 s.deadline = deadline;
-                s.stamp_seq = stamp_seq;
+                let old = std::mem::replace(&mut s.stamp_seq, stamp_seq);
+                self.unstamp(old);
             }
         }
-        self.entries.get_mut(key).map(|s| &mut s.value)
     }
 
     /// Membership test without refreshing the deadline (HILTI's
@@ -267,7 +270,8 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
                 let s = o.into_mut();
                 if refresh {
                     s.deadline = deadline;
-                    s.stamp_seq = stamp_seq;
+                    let old = std::mem::replace(&mut s.stamp_seq, stamp_seq);
+                    self.seq_keys.remove(&old); // `unstamp`; `self.entries` is borrowed
                 }
                 &mut s.value
             }
@@ -288,11 +292,10 @@ impl<K: Eq + Hash + Clone, V> ExpiringMap<K, V> {
 
     /// Removes an entry.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let removed = self.entries.remove(key).map(|s| s.value);
-        if removed.is_some() {
-            self.credit_entries(1);
-        }
-        removed
+        let removed = self.entries.remove(key)?;
+        self.unstamp(removed.stamp_seq);
+        self.credit_entries(1);
+        Some(removed.value)
     }
 
     /// Drops every entry whose deadline has passed, returning the evicted
@@ -623,6 +626,40 @@ mod tests {
         // Re-inserting an existing member is not growth and still succeeds.
         assert!(!s.try_insert(1, t(0)).unwrap());
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn deadline_records_track_live_entries() {
+        // Inserts, overwrites, touches and removals under both strategies:
+        // the key copies kept for deadline records never outnumber the
+        // live entries, and eviction still follows (deadline, stamp) order.
+        for strategy in [ExpireStrategy::Create, ExpireStrategy::Access] {
+            let mut m = ExpiringMap::new();
+            m.set_timeout(strategy, Interval::from_secs(100));
+            for i in 0..1_000u64 {
+                let now = t(i / 10);
+                m.insert(i % 37, i, now);
+                m.get(&((i * 7) % 37), now);
+                *m.entry_or_insert_with((i * 3) % 41, now, || 0) += 1;
+                if i % 5 == 0 {
+                    m.remove(&((i * 11) % 41));
+                }
+                assert_eq!(m.seq_keys.len(), m.len(), "{strategy:?} after step {i}");
+            }
+            let mut expected: Vec<(Time, u64, u64)> = m
+                .entries
+                .iter()
+                .map(|(k, s)| (s.deadline, s.stamp_seq, *k))
+                .collect();
+            expected.sort();
+            let evicted: Vec<u64> = m.advance(t(10_000)).into_iter().map(|(k, _)| k).collect();
+            assert_eq!(
+                evicted,
+                expected.iter().map(|e| e.2).collect::<Vec<_>>(),
+                "{strategy:?}"
+            );
+            assert!(m.is_empty() && m.seq_keys.is_empty() && m.queue.is_empty());
+        }
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! fibers for incremental processing, and access to output, logs, and
 //! profiling.
 
-use hilti_rt::error::{RtError, RtResult};
+use hilti_rt::error::RtResult;
 
 use crate::bytecode::{compile, CompiledProgram};
 use crate::check;
 use crate::fiber::Fiber;
 use crate::ir::Module;
 use crate::linker::{link_with_priorities, Linked};
+use crate::ops::ExecCtx;
 use crate::passes::{optimize_linked, OptLevel, PassStats};
 use crate::specialize::SpecStats;
 use crate::value::Value;
@@ -282,18 +283,26 @@ impl Program {
 
     /// Runs all bodies of a hook (host-driven callbacks, §3.2).
     pub fn run_hook(&mut self, hook: &str, args: &[Value]) -> RtResult<()> {
-        let Some(hi) = self.compiled.hook_index.get(hook).copied() else {
-            return Ok(()); // a hook with no bodies does nothing
-        };
-        let bodies = self.compiled.hooks[hi as usize].clone();
-        for body in bodies {
-            let frames = vec![vm::Frame::new_public(&self.compiled, body, args)];
-            match vm::run(&self.compiled, &mut self.ctx, frames, false)? {
-                vm::Outcome::Done(_) => {}
-                vm::Outcome::Suspended(_) => return Err(RtError::runtime("hook body suspended")),
-            }
+        match self.compiled.hook_index.get(hook) {
+            Some(&hi) => self.run_hook_index(hi, args),
+            None => Ok(()), // a hook with no bodies does nothing
         }
-        Ok(())
+    }
+
+    /// [`Program::run_hook`] for a hook already resolved to its index in
+    /// [`CompiledProgram::hook_index`]: hosts that raise the same events
+    /// over and over resolve each hook once, at load time.
+    pub fn run_hook_index(&mut self, hook: u32, args: &[Value]) -> RtResult<()> {
+        vm::run_hook(&self.compiled, &mut self.ctx, hook, args)
+    }
+
+    /// Advances the context's global time to `t` (never backwards) and
+    /// expires state in every registered container — what
+    /// `timer_mgr.advance_global` does, as a direct context call: no VM
+    /// entry and no fuel.
+    pub fn advance_global_time(&mut self, t: hilti_rt::time::Time) {
+        self.ctx.set_global_time(t);
+        self.ctx.advance_expiring(t);
     }
 
     /// Creates a fiber for an incremental computation.

@@ -119,8 +119,80 @@ pub enum Value {
 }
 
 /// The hashable subset of values usable as set members / map keys.
+/// Strings and enum names share the value's `Rc<str>`, so converting
+/// between a string value and its key is a reference-count bump.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Key {
+    Bool(bool),
+    Int(i64),
+    String(Rc<str>),
+    Bytes(Vec<u8>),
+    Addr(Addr),
+    Net(Network),
+    Port(Port),
+    Time(Time),
+    Interval(Interval),
+    Enum(Rc<str>, i64),
+    Tuple(Vec<Key>),
+}
+
+impl Key {
+    /// Reconstructs the value form of this key.
+    pub fn to_value(&self) -> Value {
+        match self {
+            Key::Bool(b) => Value::Bool(*b),
+            Key::Int(i) => Value::Int(*i),
+            Key::String(s) => Value::String(Rc::clone(s)),
+            Key::Bytes(b) => Value::Bytes(Bytes::frozen_from_slice(b)),
+            Key::Addr(a) => Value::Addr(*a),
+            Key::Net(n) => Value::Net(*n),
+            Key::Port(p) => Value::Port(*p),
+            Key::Time(t) => Value::Time(*t),
+            Key::Interval(i) => Value::Interval(*i),
+            Key::Enum(n, v) => Value::Enum(Rc::clone(n), *v),
+            Key::Tuple(ks) => Value::Tuple(Rc::new(ks.iter().map(Key::to_value).collect())),
+        }
+    }
+
+    /// The `Send` form of this key, for [`Portable`] sets and maps.
+    pub fn to_portable(&self) -> PortableKey {
+        match self {
+            Key::Bool(b) => PortableKey::Bool(*b),
+            Key::Int(i) => PortableKey::Int(*i),
+            Key::String(s) => PortableKey::String(s.to_string()),
+            Key::Bytes(b) => PortableKey::Bytes(b.clone()),
+            Key::Addr(a) => PortableKey::Addr(*a),
+            Key::Net(n) => PortableKey::Net(*n),
+            Key::Port(p) => PortableKey::Port(*p),
+            Key::Time(t) => PortableKey::Time(*t),
+            Key::Interval(i) => PortableKey::Interval(*i),
+            Key::Enum(n, v) => PortableKey::Enum(n.to_string(), *v),
+            Key::Tuple(ks) => PortableKey::Tuple(ks.iter().map(Key::to_portable).collect()),
+        }
+    }
+
+    /// Rebuilds a key from its portable form (fresh shared strings).
+    pub fn from_portable(p: &PortableKey) -> Key {
+        match p {
+            PortableKey::Bool(b) => Key::Bool(*b),
+            PortableKey::Int(i) => Key::Int(*i),
+            PortableKey::String(s) => Key::String(Rc::from(s.as_str())),
+            PortableKey::Bytes(b) => Key::Bytes(b.clone()),
+            PortableKey::Addr(a) => Key::Addr(*a),
+            PortableKey::Net(n) => Key::Net(*n),
+            PortableKey::Port(p) => Key::Port(*p),
+            PortableKey::Time(t) => Key::Time(*t),
+            PortableKey::Interval(i) => Key::Interval(*i),
+            PortableKey::Enum(n, v) => Key::Enum(Rc::from(n.as_str()), *v),
+            PortableKey::Tuple(ps) => Key::Tuple(ps.iter().map(Key::from_portable).collect()),
+        }
+    }
+}
+
+/// `Send` form of a [`Key`]: [`Key`] shares `Rc<str>` strings, which must
+/// not cross a thread boundary.
+#[derive(Clone, Debug, PartialEq)]
+pub enum PortableKey {
     Bool(bool),
     Int(i64),
     String(String),
@@ -131,26 +203,7 @@ pub enum Key {
     Time(Time),
     Interval(Interval),
     Enum(String, i64),
-    Tuple(Vec<Key>),
-}
-
-impl Key {
-    /// Reconstructs the value form of this key.
-    pub fn to_value(&self) -> Value {
-        match self {
-            Key::Bool(b) => Value::Bool(*b),
-            Key::Int(i) => Value::Int(*i),
-            Key::String(s) => Value::String(Rc::from(s.as_str())),
-            Key::Bytes(b) => Value::Bytes(Bytes::frozen_from_slice(b)),
-            Key::Addr(a) => Value::Addr(*a),
-            Key::Net(n) => Value::Net(*n),
-            Key::Port(p) => Value::Port(*p),
-            Key::Time(t) => Value::Time(*t),
-            Key::Interval(i) => Value::Interval(*i),
-            Key::Enum(n, v) => Value::Enum(Rc::from(n.as_str()), *v),
-            Key::Tuple(ks) => Value::Tuple(Rc::new(ks.iter().map(Key::to_value).collect())),
-        }
-    }
+    Tuple(Vec<PortableKey>),
 }
 
 /// Deep, `Send` snapshot of a value for crossing thread boundaries.
@@ -171,8 +224,8 @@ pub enum Portable {
     Tuple(Vec<Portable>),
     List(Vec<Portable>),
     Vector(Vec<Portable>),
-    Set(Vec<Key>),
-    Map(Vec<(Key, Portable)>),
+    Set(Vec<PortableKey>),
+    Map(Vec<(PortableKey, Portable)>),
     Struct(String, Vec<Portable>),
 }
 
@@ -317,14 +370,14 @@ impl Value {
         Ok(match self {
             Value::Bool(b) => Key::Bool(*b),
             Value::Int(i) => Key::Int(*i),
-            Value::String(s) => Key::String(s.to_string()),
+            Value::String(s) => Key::String(Rc::clone(s)),
             Value::Bytes(b) => Key::Bytes(b.to_vec()),
             Value::Addr(a) => Key::Addr(*a),
             Value::Net(n) => Key::Net(*n),
             Value::Port(p) => Key::Port(*p),
             Value::Time(t) => Key::Time(*t),
             Value::Interval(i) => Key::Interval(*i),
-            Value::Enum(n, v) => Key::Enum(n.to_string(), *v),
+            Value::Enum(n, v) => Key::Enum(Rc::clone(n), *v),
             Value::Tuple(vs) => Key::Tuple(
                 vs.iter()
                     .map(Value::to_key)
@@ -416,11 +469,11 @@ impl Value {
                     .map(Value::to_portable)
                     .collect::<RtResult<Vec<_>>>()?,
             ),
-            Value::Set(s) => Portable::Set(s.borrow().iter().cloned().collect()),
+            Value::Set(s) => Portable::Set(s.borrow().iter().map(Key::to_portable).collect()),
             Value::Map(m) => Portable::Map(
                 m.borrow()
                     .iter()
-                    .map(|(k, v)| Ok((k.clone(), v.to_portable()?)))
+                    .map(|(k, v)| Ok((k.to_portable(), v.to_portable()?)))
                     .collect::<RtResult<Vec<_>>>()?,
             ),
             Value::Struct(s) => {
@@ -475,14 +528,14 @@ impl Value {
             Portable::Set(keys) => {
                 let mut s = SetVal::new();
                 for k in keys {
-                    s.insert(k.clone(), Time::ZERO);
+                    s.insert(Key::from_portable(k), Time::ZERO);
                 }
                 Value::Set(Rc::new(RefCell::new(s)))
             }
             Portable::Map(entries) => {
                 let mut m = MapVal::new();
                 for (k, v) in entries {
-                    m.insert(k.clone(), Value::from_portable(v), Time::ZERO);
+                    m.insert(Key::from_portable(k), Value::from_portable(v), Time::ZERO);
                 }
                 Value::Map(Rc::new(RefCell::new(m)))
             }
@@ -495,62 +548,93 @@ impl Value {
 
     /// Renders the value the way `Hilti::print` does.
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Appends [`Value::render`]'s text to `out`. Scalars, strings and
+    /// sequences are written in place; only set and map members, which
+    /// print sorted by their text, go through temporaries.
+    pub fn render_into(&self, out: &mut String) {
+        use std::fmt::Write;
+        fn join<'a>(out: &mut String, vs: impl Iterator<Item = &'a Value>) {
+            for (i, v) in vs.enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                v.render_into(out);
+            }
+        }
+        fn sorted(out: &mut String, mut inner: Vec<String>) {
+            inner.sort();
+            out.push('{');
+            out.push_str(&inner.join(", "));
+            out.push('}');
+        }
+        // Writing into a `String` cannot fail.
+        macro_rules! w {
+            ($($arg:tt)*) => {{
+                let _ = write!(out, $($arg)*);
+            }};
+        }
         match self {
-            Value::Null => "(null)".into(),
-            Value::Bool(b) => if *b { "True" } else { "False" }.into(),
-            Value::Int(i) => i.to_string(),
-            Value::Double(d) => format!("{d}"),
-            Value::String(s) => s.to_string(),
-            Value::Bytes(b) => String::from_utf8_lossy(&b.to_vec()).into_owned(),
-            Value::BytesIter(i) => format!("<bytes iterator @{}>", i.offset()),
-            Value::Addr(a) => a.to_string(),
-            Value::Net(n) => n.to_string(),
-            Value::Port(p) => p.to_string(),
-            Value::Time(t) => t.to_string(),
-            Value::Interval(i) => i.to_string(),
-            Value::Enum(n, v) => format!("{n}({v})"),
+            Value::Null => out.push_str("(null)"),
+            Value::Bool(b) => out.push_str(if *b { "True" } else { "False" }),
+            Value::Int(i) => w!("{i}"),
+            Value::Double(d) => w!("{d}"),
+            Value::String(s) => out.push_str(s),
+            Value::Bytes(b) => out.push_str(&String::from_utf8_lossy(&b.to_vec())),
+            Value::BytesIter(i) => w!("<bytes iterator @{}>", i.offset()),
+            Value::Addr(a) => w!("{a}"),
+            Value::Net(n) => w!("{n}"),
+            Value::Port(p) => w!("{p}"),
+            Value::Time(t) => w!("{t}"),
+            Value::Interval(i) => w!("{i}"),
+            Value::Enum(n, v) => w!("{n}({v})"),
             Value::Tuple(vs) => {
-                let inner: Vec<String> = vs.iter().map(Value::render).collect();
-                format!("({})", inner.join(", "))
+                out.push('(');
+                join(out, vs.iter());
+                out.push(')');
             }
             Value::List(l) => {
-                let inner: Vec<String> = l.borrow().iter().map(Value::render).collect();
-                format!("[{}]", inner.join(", "))
+                out.push('[');
+                join(out, l.borrow().iter());
+                out.push(']');
             }
             Value::Vector(v) => {
-                let inner: Vec<String> = v.borrow().iter().map(Value::render).collect();
-                format!("[{}]", inner.join(", "))
+                out.push('[');
+                join(out, v.borrow().iter());
+                out.push(']');
             }
-            Value::Set(s) => {
-                let mut inner: Vec<String> =
-                    s.borrow().iter().map(|k| k.to_value().render()).collect();
-                inner.sort();
-                format!("{{{}}}", inner.join(", "))
-            }
-            Value::Map(m) => {
-                let mut inner: Vec<String> = m
-                    .borrow()
+            Value::Set(s) => sorted(
+                out,
+                s.borrow().iter().map(|k| k.to_value().render()).collect(),
+            ),
+            Value::Map(m) => sorted(
+                out,
+                m.borrow()
                     .iter()
                     .map(|(k, v)| format!("{}: {}", k.to_value().render(), v.render()))
-                    .collect();
-                inner.sort();
-                format!("{{{}}}", inner.join(", "))
-            }
+                    .collect(),
+            ),
             Value::Struct(s) => {
                 let s = s.borrow();
-                let inner: Vec<String> = s.fields.iter().map(Value::render).collect();
-                format!("{}({})", s.type_name, inner.join(", "))
+                out.push_str(&s.type_name);
+                out.push('(');
+                join(out, s.fields.iter());
+                out.push(')');
             }
-            Value::Regexp(r) => format!("/{}/", r.sources().join("|")),
-            Value::Matcher(_) => "<matcher>".into(),
-            Value::Channel(c) => format!("<channel:{}>", c.len()),
-            Value::Classifier(c) => format!("<classifier:{} rules>", c.borrow().len()),
-            Value::Overlay(o) => format!("<overlay {}>", o.name),
-            Value::TimerMgr(t) => format!("<timer_mgr@{}>", t.borrow().now()),
-            Value::File(f) => format!("<file {}>", f.name()),
-            Value::IOSrc(s) => format!("<iosrc {}>", s.borrow().name),
-            Value::Callable(c) => format!("<callable {}>", c.func),
-            Value::Exception(e) => format!("{}: {}", e.kind, e.message),
+            Value::Regexp(r) => w!("/{}/", r.sources().join("|")),
+            Value::Matcher(_) => out.push_str("<matcher>"),
+            Value::Channel(c) => w!("<channel:{}>", c.len()),
+            Value::Classifier(c) => w!("<classifier:{} rules>", c.borrow().len()),
+            Value::Overlay(o) => w!("<overlay {}>", o.name),
+            Value::TimerMgr(t) => w!("<timer_mgr@{}>", t.borrow().now()),
+            Value::File(f) => w!("<file {}>", f.name()),
+            Value::IOSrc(s) => w!("<iosrc {}>", s.borrow().name),
+            Value::Callable(c) => w!("<callable {}>", c.func),
+            Value::Exception(e) => w!("{}: {}", e.kind, e.message),
         }
     }
 

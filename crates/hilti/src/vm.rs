@@ -125,6 +125,49 @@ pub struct Context {
     /// of telemetry snapshots so merged-snapshot byte-identity across
     /// worker counts is unaffected.
     tier_retired: TierMix,
+    /// The dispatch loop's working buffers, lent to each outermost run and
+    /// given back on exit (see [`RunBufs`]).
+    run_bufs: RunBufs,
+}
+
+/// The buffers one dispatch loop works in: a spare frame stack, the
+/// operand buffer, and a free list of slot vectors. [`Context`] owns one
+/// set; `run` takes it out on entry and puts it back on every exit, so a
+/// steady stream of entries (hook bodies per event, parser calls per PDU)
+/// allocates no frames, slots or argument storage. A nested run — a hook
+/// body or fired timer started from inside the loop — finds the set lent
+/// out and starts from empty buffers, and a suspended fiber keeps its own
+/// frame stack: two runs never share a buffer.
+#[derive(Default)]
+struct RunBufs {
+    frames: Vec<Frame>,
+    args: Vec<Value>,
+    slots: Vec<Vec<Value>>,
+}
+
+/// Upper bound on pooled slot vectors.
+const SLOT_POOL_CAP: usize = 64;
+
+impl RunBufs {
+    /// Takes back a run's frame stack: frames an error left behind give up
+    /// their slots, and the emptied stack becomes the spare. No value
+    /// outlives its run in these buffers — a slot or operand may hold the
+    /// last reference to a container or string — so every parked slot
+    /// vector and the operand buffer are emptied here.
+    fn reclaim(&mut self, mut frames: Vec<Frame>) {
+        for f in frames.drain(..) {
+            if self.slots.len() < SLOT_POOL_CAP {
+                self.slots.push(f.slots);
+            }
+        }
+        for slots in &mut self.slots {
+            slots.clear();
+        }
+        self.args.clear();
+        if frames.capacity() > self.frames.capacity() {
+            self.frames = frames;
+        }
+    }
 }
 
 /// Per-tier retired-instruction counts; see [`Context::tier_mix`].
@@ -195,6 +238,7 @@ impl Context {
             watchdog_acc: 0,
             tier: None,
             tier_retired: TierMix::default(),
+            run_bufs: RunBufs::default(),
         }
     }
 
@@ -741,16 +785,16 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Builds a fresh activation record (public for the host API).
-    pub fn new_public(prog: &CompiledProgram, func: u32, args: &[Value]) -> Frame {
-        Frame::new(prog, func, args)
-    }
-
     /// Builds an activation record whose parameters are cloned straight
-    /// from `args` into fresh slot storage.
-    fn new(prog: &CompiledProgram, func: u32, args: &[Value]) -> Frame {
+    /// from `args` into a slot vector from `pool` (entry frames).
+    fn new_entry(
+        prog: &CompiledProgram,
+        func: u32,
+        args: &[Value],
+        pool: &mut Vec<Vec<Value>>,
+    ) -> Frame {
         let cf = &prog.funcs[func as usize];
-        let mut slots = vec![Value::Null; cf.n_slots as usize];
+        let mut slots = Frame::pooled_slots(cf.n_slots as usize, pool);
         for (slot, a) in slots.iter_mut().zip(args.iter().take(cf.n_params as usize)) {
             *slot = a.clone();
         }
@@ -770,22 +814,24 @@ impl Frame {
         }
     }
 
-    /// Builds an activation record, reusing a slot vector from `pool` when
-    /// one is available (calls are the hottest allocation site in compiled
-    /// code; recycling frames is the analog of the paper's custom
-    /// free-list for fiber stacks, §5).
-    fn new_pooled(
-        prog: &CompiledProgram,
-        func: u32,
-        mut args: Vec<Value>,
-        pool: &mut Vec<Vec<Value>>,
-    ) -> Frame {
-        Frame::new_from_buf(prog, func, &mut args, pool)
+    /// `n` null slots, reusing a vector from `pool` when one is available
+    /// (calls are the hottest allocation site in compiled code; recycling
+    /// frames is the analog of the paper's custom free-list for fiber
+    /// stacks, §5).
+    fn pooled_slots(n: usize, pool: &mut Vec<Vec<Value>>) -> Vec<Value> {
+        match pool.pop() {
+            Some(mut v) => {
+                v.clear();
+                v.resize(n, Value::Null);
+                v
+            }
+            None => vec![Value::Null; n],
+        }
     }
 
-    /// Like [`Frame::new_pooled`], but drains the arguments out of a caller
-    /// owned buffer so the dispatch loop's argument vector is reused across
-    /// calls instead of being reallocated per call.
+    /// Builds an activation record, draining the arguments out of a
+    /// caller-owned buffer so the dispatch loop's argument vector is reused
+    /// across calls instead of being reallocated per call.
     fn new_from_buf(
         prog: &CompiledProgram,
         func: u32,
@@ -793,15 +839,7 @@ impl Frame {
         pool: &mut Vec<Vec<Value>>,
     ) -> Frame {
         let cf = &prog.funcs[func as usize];
-        let n = cf.n_slots as usize;
-        let mut slots = match pool.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.resize(n, Value::Null);
-                v
-            }
-            None => vec![Value::Null; n],
-        };
+        let mut slots = Frame::pooled_slots(cf.n_slots as usize, pool);
         for (i, a) in args.drain(..).enumerate().take(cf.n_params as usize) {
             slots[i] = a;
         }
@@ -864,7 +902,8 @@ fn resolve(prog: &CompiledProgram, func: &str) -> RtResult<u32> {
         .ok_or_else(|| RtError::value(format!("unknown function {func}")))
 }
 
-/// Runs function `fi` from a fresh entry frame.
+/// Runs function `fi` from a fresh entry frame — an engine entry point,
+/// flushed to telemetry as one run.
 fn enter(
     prog: &CompiledProgram,
     ctx: &mut Context,
@@ -872,12 +911,43 @@ fn enter(
     args: &[Value],
     resumable: bool,
 ) -> RtResult<Outcome> {
-    ctx.tier_note_call(prog.funcs.len(), fi, args);
-    let frames = vec![Frame::new(prog, fi, args)];
     let spent_before = ctx.fuel_spent;
-    let result = run(prog, ctx, frames, resumable);
+    let result = run_entry(prog, ctx, fi, args, resumable);
     ctx.telemetry_flush_run(spent_before);
     result
+}
+
+/// Runs function `fi` on the context's spare frame stack from an entry
+/// frame built in a pooled slot vector.
+fn run_entry(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    fi: u32,
+    args: &[Value],
+    resumable: bool,
+) -> RtResult<Outcome> {
+    ctx.tier_note_call(prog.funcs.len(), fi, args);
+    let mut frames = std::mem::take(&mut ctx.run_bufs.frames);
+    frames.push(Frame::new_entry(prog, fi, args, &mut ctx.run_bufs.slots));
+    run(prog, ctx, frames, resumable)
+}
+
+/// Runs every body of hook `hook` synchronously, in priority order, each
+/// from its own entry frame (hooks do not suspend). The one hook runner:
+/// host-driven dispatch ([`crate::host::Program::run_hook_index`]) and
+/// the `hook.run` instruction both come here.
+pub fn run_hook(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    hook: u32,
+    args: &[Value],
+) -> RtResult<()> {
+    for &body in &prog.hooks[hook as usize] {
+        if let Outcome::Suspended(_) = run_entry(prog, ctx, body, args, false)? {
+            return Err(RtError::runtime("hook body suspended"));
+        }
+    }
+    Ok(())
 }
 
 /// Resumes suspended frames.
@@ -924,17 +994,36 @@ fn int_operand(frame: &Frame, s: IntSrc) -> Option<i64> {
     }
 }
 
-/// The main dispatch loop.
-pub fn run(
+/// Runs `frames` to completion or suspension with the context's working
+/// buffers, which go back to the context on every exit.
+fn run(
     prog: &CompiledProgram,
     ctx: &mut Context,
     mut frames: Vec<Frame>,
     resumable: bool,
 ) -> RtResult<Outcome> {
-    // Re-used argument buffer to avoid per-instruction allocation, and a
-    // free list recycling frame slot vectors across calls.
-    let mut argbuf: Vec<Value> = Vec::with_capacity(8);
-    let mut frame_pool: Vec<Vec<Value>> = Vec::new();
+    let mut bufs = std::mem::take(&mut ctx.run_bufs);
+    let result = run_loop(prog, ctx, &mut frames, resumable, &mut bufs);
+    bufs.reclaim(frames);
+    ctx.run_bufs = bufs;
+    result
+}
+
+/// The main dispatch loop.
+fn run_loop(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    frames: &mut Vec<Frame>,
+    resumable: bool,
+    bufs: &mut RunBufs,
+) -> RtResult<Outcome> {
+    // The operand buffer avoids per-instruction allocation; the slot pool
+    // recycles frame slot vectors across calls.
+    let RunBufs {
+        args: argbuf,
+        slots: frame_pool,
+        ..
+    } = bufs;
     // One-shot escape hatch from the threaded executor: when it exits
     // `Stuck`, exactly one instruction runs on the generic path below
     // (charging, raising, or IC-resolving it) before re-entering.
@@ -966,7 +1055,7 @@ pub fn run(
         // its deopt target, one op per pc.
         if !std::mem::take(&mut skip_threaded) {
             if let Some(tf) = tiered.as_ref().and_then(|tc| tc.threaded.clone()) {
-                match run_threaded(prog, ctx, &mut frames, tf, &mut argbuf, &mut frame_pool) {
+                match run_threaded(prog, ctx, frames, tf, argbuf, frame_pool) {
                     TExit::Frame => {}
                     TExit::Stuck => skip_threaded = true,
                 }
@@ -1245,9 +1334,9 @@ pub fn run(
                 let err: RtError = $err;
                 if resumable && err.kind == ExceptionKind::WouldBlock {
                     // Suspend *at* this instruction; resume retries it.
-                    return Ok(Outcome::Suspended(frames));
+                    return Ok(Outcome::Suspended(std::mem::take(frames)));
                 }
-                match dispatch_exception(&mut frames, err)? {
+                match dispatch_exception(frames, err)? {
                     () => continue 'dispatch,
                 }
             }};
@@ -1291,7 +1380,7 @@ pub fn run(
                 for a in args.iter() {
                     argbuf.push(operand_value(ctx, frame, a));
                 }
-                match ops::eval(*opcode, &argbuf, idents, ctx) {
+                match ops::eval(*opcode, argbuf, idents, ctx) {
                     Ok(evaluated) => {
                         let frame = frames.last_mut().expect("frame exists");
                         if let Some(t) = target {
@@ -1314,7 +1403,7 @@ pub fn run(
                 for a in args.iter() {
                     argbuf.push(operand_value(ctx, frame, a));
                 }
-                match ops::instantiate(ty, &argbuf, ctx) {
+                match ops::instantiate(ty, argbuf, ctx) {
                     Ok(v) => {
                         let frame = frames.last_mut().expect("frame exists");
                         frame.slots[*target as usize] = v.clone();
@@ -1338,8 +1427,8 @@ pub fn run(
                     argbuf.push(operand_value(ctx, frame, a));
                 }
                 frame.pc += 1;
-                ctx.tier_note_call(prog.funcs.len(), *func, &argbuf);
-                let mut callee = Frame::new_from_buf(prog, *func, &mut argbuf, &mut frame_pool);
+                ctx.tier_note_call(prog.funcs.len(), *func, argbuf);
+                let mut callee = Frame::new_from_buf(prog, *func, argbuf, frame_pool);
                 callee.ret_slot = *target;
                 callee.ret_global = store_global;
                 frames.push(callee);
@@ -1349,7 +1438,7 @@ pub fn run(
                 for a in args.iter() {
                     argbuf.push(operand_value(ctx, frame, a));
                 }
-                match call_host(prog, ctx, name, &argbuf) {
+                match call_host(prog, ctx, name, argbuf) {
                     Ok(v) => {
                         let frame = frames.last_mut().expect("frame exists");
                         if let Some(t) = target {
@@ -1369,18 +1458,8 @@ pub fn run(
                     argbuf.push(operand_value(ctx, frame, a));
                 }
                 frame.pc += 1;
-                let bodies = prog.hooks[*hook as usize].clone();
-                let hook_args = std::mem::take(&mut argbuf);
-                argbuf = Vec::with_capacity(8);
-                for body in bodies {
-                    // Hook bodies run synchronously, in priority order
-                    // (nested execution; hooks do not suspend).
-                    let sub = vec![Frame::new(prog, body, &hook_args)];
-                    match run(prog, ctx, sub, false)? {
-                        Outcome::Done(_) => {}
-                        Outcome::Suspended(_) => unreachable!("non-resumable"),
-                    }
-                }
+                // Nested execution: the bodies run on their own buffers.
+                run_hook(prog, ctx, *hook, argbuf)?;
             }
             CInstr::CallCallable {
                 target,
@@ -1427,9 +1506,9 @@ pub fn run(
                 };
                 frame.pc += 1;
                 let mut full_args = c.bound.clone();
-                full_args.append(&mut argbuf);
+                full_args.append(argbuf);
                 ctx.tier_note_call(prog.funcs.len(), fi, &full_args);
-                let mut callee = Frame::new_pooled(prog, fi, full_args, &mut frame_pool);
+                let mut callee = Frame::new_from_buf(prog, fi, &mut full_args, frame_pool);
                 callee.ret_slot = *target;
                 callee.ret_global = store_global;
                 frames.push(callee);
@@ -1495,7 +1574,7 @@ pub fn run(
                 for a in args.iter() {
                     argbuf.push(operand_value(ctx, frame, a));
                 }
-                match overlay_get_ic(ctx, &argbuf, oname, field, ic) {
+                match overlay_get_ic(ctx, argbuf, oname, field, ic) {
                     Ok(val) => {
                         let frame = frames.last_mut().expect("frame exists");
                         if let Some(t) = target {
@@ -1556,9 +1635,9 @@ pub fn run(
                 };
                 frame.pc += 1;
                 let mut full_args = c.bound.clone();
-                full_args.append(&mut argbuf);
+                full_args.append(argbuf);
                 ctx.tier_note_call(prog.funcs.len(), fi, &full_args);
-                let mut callee = Frame::new_pooled(prog, fi, full_args, &mut frame_pool);
+                let mut callee = Frame::new_from_buf(prog, fi, &mut full_args, frame_pool);
                 callee.ret_slot = *target;
                 callee.ret_global = store_global;
                 frames.push(callee);
@@ -1683,7 +1762,7 @@ pub fn run(
                 };
                 let mut finished = frames.pop().expect("frame exists");
                 // Recycle the finished frame's slot storage (bounded).
-                if frame_pool.len() < 64 {
+                if frame_pool.len() < SLOT_POOL_CAP {
                     let mut slots = std::mem::take(&mut finished.slots);
                     slots.clear();
                     frame_pool.push(slots);
@@ -1715,7 +1794,7 @@ pub fn run(
             CInstr::Yield => {
                 frame.pc += 1;
                 if resumable {
-                    return Ok(Outcome::Suspended(frames));
+                    return Ok(Outcome::Suspended(std::mem::take(frames)));
                 }
                 // Outside a fiber, yield is a no-op scheduling point.
             }
@@ -2072,7 +2151,7 @@ fn run_threaded(
                 let mut finished =
                     std::mem::replace(&mut cur, frames.pop().expect("non-empty checked"));
                 // Recycle the finished frame's slot storage (bounded).
-                if frame_pool.len() < 64 {
+                if frame_pool.len() < SLOT_POOL_CAP {
                     // Parked uncleared: stale values are dropped in one
                     // pass when the storage is reused (generic consumers
                     // `clear` + `resize`, which handles this too).
@@ -2211,9 +2290,7 @@ pub fn run_callable(
     let mut args = c.bound.clone();
     args.extend(extra.iter().cloned());
     if let Some(fi) = prog.func_index.get(&*c.func).copied() {
-        ctx.tier_note_call(prog.funcs.len(), fi, &args);
-        let frames = vec![Frame::new(prog, fi, &args)];
-        match run(prog, ctx, frames, false)? {
+        match run_entry(prog, ctx, fi, &args, false)? {
             Outcome::Done(v) => Ok(v),
             Outcome::Suspended(_) => unreachable!("non-resumable"),
         }

@@ -7,9 +7,8 @@
 #   repro smoke      — fig9/fig10 JSON artifacts regenerate and validate
 #   bench smoke      — telemetry-overhead bench compiles and runs (test mode)
 #
-# The example/repro/bench steps need the real dev-dependencies; offline
-# mirrors that stub them out (stubs/ in the workspace manifest) stop
-# after the core build/test/clippy/parallel gates.
+# Every step runs against the workspace manifest as committed, including
+# its in-repo dependency stubs (stubs/); none is skipped.
 #
 # Usage: scripts/tier1.sh [extra cargo args, e.g. --offline]
 
@@ -34,13 +33,6 @@ cargo clippy --workspace "$@" -- -D warnings
 # vs 1 must be byte-identical).
 cargo test -q -p broscript --test parallel "$@"
 echo "tier1: parallel pipeline OK"
-
-# Everything below may pull in dev-dependencies beyond what the stubbed
-# workspace provides, so the stub check comes first.
-if grep -q 'path = "stubs/' Cargo.toml; then
-    echo "tier1: stubbed workspace detected, skipping example/repro/bench smoke"
-    exit 0
-fi
 
 # 4-worker analyzer run that asserts its output against the sequential
 # pipeline.
