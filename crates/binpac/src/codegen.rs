@@ -113,7 +113,10 @@ impl<'a> UnitGen<'a> {
 
     /// Resolves a variable reference: unit vars/params directly, earlier
     /// fields through the struct. Returns the expression variable name,
-    /// emitting a struct.get when needed.
+    /// emitting a struct.get when needed. The temporary of a field that is
+    /// an unsigned integer wherever it is declared is typed `int<64>`, so
+    /// the lengths and counts it feeds take the specialized int and
+    /// byte-iterator paths.
     fn resolve(&mut self, name: &str) -> String {
         let is_var = self
             .unit
@@ -124,8 +127,13 @@ impl<'a> UnitGen<'a> {
         if is_var {
             name.to_owned()
         } else {
+            let ty = if uint_field(&self.unit.fields, name) {
+                "int<64>"
+            } else {
+                "any"
+            };
             let tmp = self.fresh("rv");
-            self.line(format!("local any {tmp}"));
+            self.line(format!("local {ty} {tmp}"));
             self.line(format!("{tmp} = struct.get self {name}"));
             tmp
         }
@@ -142,7 +150,7 @@ impl<'a> UnitGen<'a> {
             sig.push_str(&format!(", {t} {p}"));
         }
         sig.push_str(") {");
-        self.line("local any self".into());
+        self.line(format!("local ref<{}> self", u.name));
         self.line(format!("self = new {}", u.name));
         for (v, t) in &u.vars.clone() {
             self.line(format!("local {t} {v}"));
@@ -199,7 +207,7 @@ impl<'a> UnitGen<'a> {
                     .collect::<Vec<_>>()
                     .join(" ");
                 self.line(format!("{re} = regexp.new {pat_list}"));
-                self.line(format!("local any {tr}"));
+                self.line(format!("local tuple<any, any> {tr}"));
                 self.line(format!("{tr} = regexp.match_token {re} it"));
                 self.line(format!("local int<64> {tid}"));
                 self.line(format!("{tid} = tuple.get {tr} 0"));
@@ -213,7 +221,7 @@ impl<'a> UnitGen<'a> {
                     if f.name.is_empty() { "<anon>" } else { &f.name }
                 ));
                 self.line(format!("{lbl_ok}:"));
-                self.line(format!("local any {nit}"));
+                self.line(format!("local iterator<bytes> {nit}"));
                 self.line(format!("{nit} = tuple.get {tr} 1"));
                 if !f.name.is_empty() || f.hook.is_some() {
                     let fv = self.fresh("fv");
@@ -258,7 +266,7 @@ impl<'a> UnitGen<'a> {
                 let lenv = self.resolve(var);
                 let end = self.fresh("end");
                 let fv = self.fresh("fv");
-                self.line(format!("local any {end}"));
+                self.line(format!("local iterator<bytes> {end}"));
                 self.line(format!("{end} = iterator.incr it {lenv}"));
                 self.line(format!("local any {fv}"));
                 self.line(format!("{fv} = bytes.sub it {end}"));
@@ -268,7 +276,7 @@ impl<'a> UnitGen<'a> {
             FieldKind::BytesConst(n) => {
                 let end = self.fresh("end");
                 let fv = self.fresh("fv");
-                self.line(format!("local any {end}"));
+                self.line(format!("local iterator<bytes> {end}"));
                 self.line(format!("{end} = iterator.incr it {n}"));
                 self.line(format!("local any {fv}"));
                 self.line(format!("{fv} = bytes.sub it {end}"));
@@ -278,7 +286,7 @@ impl<'a> UnitGen<'a> {
             FieldKind::Eod => {
                 let er = self.fresh("er");
                 let fv = self.fresh("fv");
-                self.line(format!("local any {er}"));
+                self.line(format!("local tuple<any, any> {er}"));
                 self.line(format!("{er} = bytes.eod it"));
                 self.line(format!("local any {fv}"));
                 self.line(format!("{fv} = tuple.get {er} 0"));
@@ -288,7 +296,7 @@ impl<'a> UnitGen<'a> {
             FieldKind::SubUnit(name) => {
                 let sr = self.fresh("sr");
                 let sv = self.fresh("sv");
-                self.line(format!("local any {sr}"));
+                self.line(format!("local tuple<any, any> {sr}"));
                 self.line(format!("{sr} = call parse_{name} (data, it)"));
                 self.line(format!("local any {sv}"));
                 self.line(format!("{sv} = tuple.get {sr} 0"));
@@ -315,7 +323,7 @@ impl<'a> UnitGen<'a> {
                             .collect::<Vec<_>>()
                             .join(" ");
                         self.line(format!("{re} = regexp.new {pat_list}"));
-                        self.line(format!("local any {tr}"));
+                        self.line(format!("local tuple<any, any> {tr}"));
                         self.line(format!("local int<64> {tid}"));
                         self.line(format!("local bool {matched}"));
                         self.line(format!("{l_loop}:"));
@@ -326,7 +334,7 @@ impl<'a> UnitGen<'a> {
                         self.line(format!("{l_item}:"));
                         let sr = self.fresh("sr");
                         let sv = self.fresh("sv");
-                        self.line(format!("local any {sr}"));
+                        self.line(format!("local tuple<any, any> {sr}"));
                         self.line(format!("{sr} = call parse_{name} (data, it)"));
                         self.line(format!("local any {sv}"));
                         self.line(format!("{sv} = tuple.get {sr} 0"));
@@ -361,7 +369,7 @@ impl<'a> UnitGen<'a> {
                         self.line(format!("{l_item}:"));
                         let sr = self.fresh("sr");
                         let sv = self.fresh("sv");
-                        self.line(format!("local any {sr}"));
+                        self.line(format!("local tuple<any, any> {sr}"));
                         self.line(format!("{sr} = call parse_{name} (data, it)"));
                         self.line(format!("local any {sv}"));
                         self.line(format!("{sv} = tuple.get {sr} 0"));
@@ -414,6 +422,28 @@ impl<'a> UnitGen<'a> {
             }
         }
     }
+}
+
+/// True if every field named `name` (through conditionals and switches)
+/// is a fixed-width unsigned integer, and there is at least one.
+fn uint_field(fields: &[Field], name: &str) -> bool {
+    fn visit(f: &Field, name: &str, seen: &mut bool) -> bool {
+        let here = match &f.kind {
+            FieldKind::IfVar(_, inner) => visit(inner, name, seen),
+            FieldKind::SwitchInt { cases, default, .. } => {
+                cases.iter().all(|(_, c)| visit(c, name, seen))
+                    && default.as_deref().is_none_or(|d| visit(d, name, seen))
+            }
+            _ => true,
+        };
+        if f.name != name {
+            return here;
+        }
+        *seen = true;
+        here && matches!(f.kind, FieldKind::UInt(_) | FieldKind::UIntLE(_))
+    }
+    let mut seen = false;
+    fields.iter().all(|f| visit(f, name, &mut seen)) && seen
 }
 
 /// Generates a stream driver for a top-level unit: parses units back to
@@ -478,6 +508,39 @@ mod tests {
         let mut src = generate(&ssh_banner_grammar()).unwrap();
         src.push_str(&generate_driver("Banner"));
         hilti::Program::from_source(&src).unwrap();
+    }
+
+    #[test]
+    fn parser_locals_are_typed() {
+        use crate::grammar::{Field, FieldKind, Unit};
+        let u = Unit::new("U")
+            .field(Field::named("len", FieldKind::UInt(2)))
+            .field(Field::named("body", FieldKind::BytesVar("len".into())))
+            .field(Field::named("tail", FieldKind::Eod));
+        let src = generate(&Grammar::new("M").unit(u)).unwrap();
+        assert!(src.contains("local ref<U> self"), "{src}");
+        assert!(src.contains("local int<64> rv_"), "{src}");
+        assert!(src.contains("local iterator<bytes> end_"), "{src}");
+        assert!(src.contains("local tuple<any, any> er_"), "{src}");
+        hilti::Program::from_source(&src).unwrap();
+    }
+
+    #[test]
+    fn uint_typing_needs_every_declaration_unsigned() {
+        use crate::grammar::Field;
+        let n = |kind| Field::named("n", kind);
+        assert!(uint_field(&[n(FieldKind::UIntLE(4))], "n"));
+        assert!(!uint_field(&[n(FieldKind::Eod)], "n"));
+        assert!(!uint_field(&[n(FieldKind::UInt(1))], "m"));
+        let switch = Field::named(
+            "sw",
+            FieldKind::SwitchInt {
+                on: "k".into(),
+                cases: vec![(1, Box::new(n(FieldKind::UInt(2))))],
+                default: Some(Box::new(n(FieldKind::BytesConst(2)))),
+            },
+        );
+        assert!(!uint_field(&[switch], "n"));
     }
 
     #[test]

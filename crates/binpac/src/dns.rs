@@ -121,7 +121,7 @@ pub fn dns_grammar() -> Grammar {
     let question = Unit::new("Question")
         .slot("name")
         .field(Field::anon(FieldKind::Embedded(vec![
-            "local any __nr".into(),
+            "local tuple<any, any> __nr".into(),
             "__nr = call parse_name (data, it)".into(),
             "local string __nm".into(),
             "__nm = tuple.get __nr 0".into(),
@@ -134,14 +134,14 @@ pub fn dns_grammar() -> Grammar {
     // RDATA rendering (before the raw rdata bytes are consumed):
     // all-strings TXT joining is the deliberate Table 2 difference.
     let render: Vec<String> = r#"
-local any __rt
+local int<64> __rt
 __rt = struct.get self rtype
-local any __rl
+local int<64> __rl
 __rl = struct.get self rdlen
 local int<64> __off
 __off = iterator.offset it
 local string __rend
-local any __nr
+local tuple<any, any> __nr
 local bool __c
 local bool __c2
 __rend = assign ""
@@ -239,7 +239,7 @@ struct.set self rdata_text __rend
         .slot("name")
         .slot("rdata_text")
         .field(Field::anon(FieldKind::Embedded(vec![
-            "local any __nr0".into(),
+            "local tuple<any, any> __nr0".into(),
             "__nr0 = call parse_name (data, it)".into(),
             "local string __nm0".into(),
             "__nm0 = tuple.get __nr0 0".into(),
@@ -264,10 +264,10 @@ struct.set self rdata_text __rend
             // Implausible counts are rejected before allocating anything
             // (fail-safe processing of untrusted counts, §7).
             r#"
-local any __qd
-local any __an
-local any __ns
-local any __ar
+local int<64> __qd
+local int<64> __an
+local int<64> __ns
+local int<64> __ar
 local bool __big
 local bool __b2
 __qd = struct.get self qdcount
@@ -390,6 +390,12 @@ impl BinpacDns {
     /// Per-thread construction from a shared front end.
     pub fn from_ir(ir: &ParserIr, profiler: Option<Profiler>) -> RtResult<BinpacDns> {
         Self::wire(BinpacParser::from_ir(ir)?, profiler)
+    }
+
+    /// The generated parser, for tests that inspect its VM context.
+    #[cfg(test)]
+    pub(crate) fn parser_mut(&mut self) -> &mut BinpacParser {
+        &mut self.parser
     }
 
     fn wire(mut parser: BinpacParser, profiler: Option<Profiler>) -> RtResult<BinpacDns> {

@@ -427,6 +427,12 @@ impl BinpacHttp {
         Self::wire(BinpacParser::from_ir(ir)?, profiler)
     }
 
+    /// The generated parser, for tests that inspect its VM context.
+    #[cfg(test)]
+    pub(crate) fn parser_mut(&mut self) -> &mut BinpacParser {
+        &mut self.parser
+    }
+
     fn wire(mut parser: BinpacParser, profiler: Option<Profiler>) -> RtResult<BinpacHttp> {
         let shared: Rc<RefCell<Shared>> = Rc::new(RefCell::new(Shared::default()));
 

@@ -298,6 +298,8 @@ impl Session {
 }
 
 #[cfg(test)]
+mod spec_parity;
+#[cfg(test)]
 mod tiering;
 
 #[cfg(test)]

@@ -117,9 +117,13 @@ pub enum OverloadPolicy {
     /// in [`AnalysisResult::dispatch_telemetry`] and in total as
     /// [`AnalysisResult::shed_packets`]. Control items (evictions,
     /// end-of-trace flushes, done markers) are never shed — they block
-    /// instead, so shutdown and state teardown stay reliable. Shedding
-    /// depends on wall-clock scheduling, so output under `Shed` is *not*
-    /// deterministic; it is the live-overload degradation mode.
+    /// instead, so shutdown and state teardown stay reliable. A flow that
+    /// loses a delivery is quarantined as a [`FlowError`] of kind
+    /// [`FlowError::SHED`]: its shard drops the flow's parser state and
+    /// none of its later deliveries is routed, so it logs nothing from
+    /// gapped input. Shedding depends on wall-clock scheduling, so output
+    /// under `Shed` is *not* deterministic; it is the live-overload
+    /// degradation mode.
     Shed { max_queue_depth: usize },
 }
 
@@ -1385,12 +1389,35 @@ struct ShedStat {
     batches: u64,
 }
 
+/// The dispatcher's record of what `Shed` dropped: packet counts per
+/// shard, and the flows quarantined because they lost a delivery.
+struct ShedLedger {
+    stats: Vec<ShedStat>,
+    /// Flows with a shed delivery; none of their later deliveries is
+    /// routed.
+    flows: HashSet<Arc<str>>,
+    /// One `Shed` quarantine record per flow, in shedding order.
+    errors: Vec<FlowError>,
+}
+
+impl ShedLedger {
+    fn new(workers: usize) -> ShedLedger {
+        ShedLedger {
+            stats: vec![ShedStat::default(); workers],
+            flows: HashSet::new(),
+            errors: Vec::new(),
+        }
+    }
+}
+
 /// Pushes a staged batch onto the shard's ring.
 ///
 /// Under [`OverloadPolicy::Block`] this parks while the ring is full —
 /// that backpressure is what bounds dispatcher run-ahead. Under `Shed` a
-/// saturated ring drops the batch's deliveries (counted in `shed`) and
-/// blocking-pushes only the control items, which must always arrive. A
+/// saturated ring drops the batch's deliveries (counted in `shed`),
+/// quarantines their flows, and blocking-pushes only the control items,
+/// which must always arrive — led by an eviction per newly quarantined
+/// flow, so its shard drops the parser state built from earlier input. A
 /// shard whose consumer is gone is marked dead and swallows all further
 /// traffic; the join path reports the fault and quarantines its flows.
 #[allow(clippy::too_many_arguments)]
@@ -1400,7 +1427,7 @@ fn flush_shard(
     metrics: Option<&DispatchMetrics>,
     w: usize,
     overload: OverloadPolicy,
-    shed: &mut [ShedStat],
+    shed: &mut ShedLedger,
     dead: &mut [bool],
     rec: Option<&mut FlightRecorder>,
     slot: u64,
@@ -1426,7 +1453,7 @@ fn flush_shard_inner(
     metrics: Option<&DispatchMetrics>,
     w: usize,
     overload: OverloadPolicy,
-    shed: &mut [ShedStat],
+    shed: &mut ShedLedger,
     dead: &mut [bool],
 ) {
     if buf.is_empty() {
@@ -1447,12 +1474,23 @@ fn flush_shard_inner(
         // Saturated (or dead — push_all below detects which): drop the
         // deliveries, keep evictions / flushes / done markers.
         let before = buf.len();
-        buf.retain(|it| !matches!(it, ShardItem::Delivery { .. }));
+        let mut evictions: Vec<ShardItem> = Vec::new();
+        buf.retain(|it| match it {
+            ShardItem::Delivery { uid, ts, .. } => {
+                if shed.flows.insert(uid.clone()) {
+                    shed.errors.push(FlowError::shed(uid, *ts));
+                    evictions.push(ShardItem::Evict { uid: uid.clone() });
+                }
+                false
+            }
+            _ => true,
+        });
         let dropped = (before - buf.len()) as u64;
         if dropped > 0 {
-            shed[w].packets += dropped;
-            shed[w].batches += 1;
+            shed.stats[w].packets += dropped;
+            shed.stats[w].batches += 1;
         }
+        buf.splice(0..0, evictions);
         if buf.is_empty() {
             return;
         }
@@ -1555,7 +1593,7 @@ fn run_parallel(
     let mut owner: HashMap<Arc<str>, FlowMeta> = HashMap::new();
     let mut first_seen: Vec<Arc<str>> = Vec::new();
     let mut buf: Vec<Vec<ShardItem>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut shed: Vec<ShedStat> = vec![ShedStat::default(); workers];
+    let mut shed = ShedLedger::new(workers);
     let mut shard_dead: Vec<bool> = vec![false; workers];
     let mut flows_expired = 0u64;
     let mut n_packets = 0u64;
@@ -1640,16 +1678,24 @@ fn run_parallel(
                 );
             }
         }
-        buf[shard].push(ShardItem::Delivery {
-            slot: slot_u64,
-            uid: uid.clone(),
-            id,
-            is_orig,
-            ts,
-            payload,
-            finished,
-            enq_ns: if drec.is_some() { monotonic_ns() } else { 0 },
-        });
+        // A flow quarantined for shedding gets none of its later input
+        // (its shard has dropped the flow's parser state).
+        if shed.flows.contains(&*uid) {
+            if let Some(m) = owner.get_mut(&*uid) {
+                m.live = false;
+            }
+        } else {
+            buf[shard].push(ShardItem::Delivery {
+                slot: slot_u64,
+                uid: uid.clone(),
+                id,
+                is_orig,
+                ts,
+                payload,
+                finished,
+                enq_ns: if drec.is_some() { monotonic_ns() } else { 0 },
+            });
+        }
         if buf[shard].len() >= batch {
             flush_shard(
                 &mut txs[shard],
@@ -1722,7 +1768,10 @@ fn run_parallel(
     let base = trace.len() as u64;
     let mut n_cand = 0u64;
     if proto == Proto::Http {
-        let mut cands: Vec<&Arc<str>> = first_seen.iter().filter(|u| owner[&***u].live).collect();
+        let mut cands: Vec<&Arc<str>> = first_seen
+            .iter()
+            .filter(|u| owner[&***u].live && !shed.flows.contains(&***u))
+            .collect();
         if stack == ParserStack::Binpac {
             cands.sort();
         }
@@ -1933,6 +1982,18 @@ fn run_parallel(
             }
         }
     }
+    // Flows quarantined for shedding, in shedding order (which depends on
+    // ring pressure, like everything else under `Shed`).
+    for fe in shed.errors.drain(..) {
+        if let Some(t) = &dtel {
+            t.telemetry.counter("pipeline.flows_quarantined").inc();
+            t.telemetry
+                .registry
+                .counter(&format!("pipeline.flow_errors.{}", FlowError::SHED))
+                .inc();
+        }
+        flow_errors.push(fe);
+    }
     // Quarantine events trail the merged stream in merged-ledger order —
     // the order `PipelineTelemetry::finish` uses.
     if gov.telemetry {
@@ -1978,7 +2039,7 @@ fn run_parallel(
     // pressure); counters appear only when shedding happened, so `Block`
     // runs keep their deterministic dispatch snapshot.
     if let Some(m) = &dmetrics {
-        for (w, s) in shed.iter().enumerate() {
+        for (w, s) in shed.stats.iter().enumerate() {
             if s.packets > 0 {
                 m.telemetry
                     .counter(&format!("pipeline.shed_packets.shard{w}"))
@@ -2009,10 +2070,11 @@ fn run_parallel(
                         posts.push(part.postmortem("injected stall"));
                     }
                 }
-                if shed[w].packets > 0 {
-                    posts.push(
-                        part.postmortem(&format!("shed: {} packet(s) dropped", shed[w].packets)),
-                    );
+                if shed.stats[w].packets > 0 {
+                    posts.push(part.postmortem(&format!(
+                        "shed: {} packet(s) dropped",
+                        shed.stats[w].packets
+                    )));
                 }
                 parts.push(part);
             }
@@ -2041,7 +2103,7 @@ fn run_parallel(
         telemetry,
         dispatch_telemetry,
         shard_faults,
-        shed_packets: shed.iter().map(|s| s.packets).sum(),
+        shed_packets: shed.stats.iter().map(|s| s.packets).sum(),
         trace: trace_report,
     })
 }

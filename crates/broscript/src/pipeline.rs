@@ -185,6 +185,19 @@ impl FlowError {
             ts,
         }
     }
+
+    /// The error kind recorded for flows that lost a delivery to the
+    /// dispatcher's `Shed` overload policy.
+    pub const SHED: &'static str = "Shed";
+
+    pub(crate) fn shed(uid: &str, ts: Time) -> Self {
+        FlowError {
+            uid: uid.to_owned(),
+            kind: FlowError::SHED.to_owned(),
+            detail: "delivery shed under overload".to_owned(),
+            ts,
+        }
+    }
 }
 
 /// One shard-worker failure a parallel run survived: a panic caught at

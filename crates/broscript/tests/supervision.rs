@@ -210,6 +210,18 @@ fn shed_policy_drops_batches_at_the_dispatcher_with_accounting() {
         r.shed_packets > 0,
         "stalled shard with a 4-deep ring must shed"
     );
+    // Every flow that lost a delivery is quarantined, once.
+    let shed_flows: Vec<&str> = r
+        .flow_errors
+        .iter()
+        .filter(|fe| fe.kind == FlowError::SHED)
+        .map(|fe| fe.uid.as_str())
+        .collect();
+    assert!(!shed_flows.is_empty());
+    let mut unique = shed_flows.clone();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(unique.len(), shed_flows.len());
     assert_eq!(
         r.packets,
         trace.len() as u64,

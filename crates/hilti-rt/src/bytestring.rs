@@ -816,6 +816,23 @@ impl BytesIter {
         (self.offset >= inner.base && self.offset < inner.end).then(|| inner.byte_at(self.offset))
     }
 
+    /// Copies the `out.len()` bytes starting under the iterator into `out`
+    /// if all of them are available; `false` (and `out` unspecified)
+    /// wherever dereferencing one of them would raise.
+    pub fn peek_into(&self, out: &mut [u8]) -> bool {
+        let inner = self.bytes.inner.borrow();
+        let Some(end) = self.offset.checked_add(out.len() as u64) else {
+            return false;
+        };
+        if self.offset < inner.base || end > inner.end {
+            return false;
+        }
+        for (k, b) in out.iter_mut().enumerate() {
+            *b = inner.byte_at(self.offset + k as u64);
+        }
+        true
+    }
+
     /// True once the iterator sits at the frontier of a *frozen* string —
     /// i.e. there is definitively no more data.
     pub fn at_frozen_end(&self) -> bool {
@@ -1018,6 +1035,29 @@ mod tests {
             let it = b.iter_at(off);
             assert_eq!(it.peek(), it.deref().ok(), "offset {off}");
         }
+    }
+
+    #[test]
+    fn peek_into_reads_a_run_iff_every_deref_would_succeed() {
+        // Two chunks, a trimmed base, and an open end.
+        let b = Bytes::from_slice(b"wxyz");
+        b.append_shared(ArenaSlice::new(arena(b"abc"), 0, 3))
+            .unwrap();
+        b.trim(1).unwrap();
+        for off in 0..9 {
+            for w in 1..=4usize {
+                let it = b.iter_at(off);
+                let mut buf = [0u8; 4];
+                let each: Option<Vec<u8>> =
+                    (0..w as u64).map(|k| b.iter_at(off + k).peek()).collect();
+                let ok = it.peek_into(&mut buf[..w]);
+                assert_eq!(ok, each.is_some(), "offset {off} width {w}");
+                if let Some(each) = each {
+                    assert_eq!(&buf[..w], &each[..], "offset {off} width {w}");
+                }
+            }
+        }
+        assert!(!b.iter_at(u64::MAX - 1).peek_into(&mut [0u8; 4]));
     }
 
     #[test]
@@ -1338,7 +1378,7 @@ mod tests {
                 let pick = (rng() as usize) % objects.len();
                 let b = objects[pick].clone();
                 match rng() % 10 {
-                    0 | 1 | 2 => {
+                    0..=2 => {
                         let n = (rng() % 32) as usize;
                         let data: Vec<u8> = (0..n).map(|_| rng() as u8).collect();
                         let _ = b.append(&data);

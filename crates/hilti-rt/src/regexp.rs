@@ -653,7 +653,11 @@ impl Regex {
     }
 
     fn intern(&self, states: Vec<StateId>) -> usize {
-        let mut cache = self.cache.lock();
+        self.intern_locked(&mut self.cache.lock(), states)
+    }
+
+    /// [`Regex::intern`] under an already held cache lock.
+    fn intern_locked(&self, cache: &mut DfaCache, states: Vec<StateId>) -> usize {
         let key: Box<[StateId]> = states.into_boxed_slice();
         if let Some(&idx) = cache.index.get(&key) {
             return idx;
@@ -689,22 +693,15 @@ impl Regex {
         idx
     }
 
-    /// Computes (and memoizes) the transition of DFA node `node` on byte `b`.
-    fn step(&self, node: usize, b: u8) -> i32 {
-        {
-            let cache = self.cache.lock();
-            let t = cache.nodes[node].trans[b as usize];
-            if t != TRANS_UNKNOWN {
-                return t;
-            }
+    /// Computes (and memoizes) the transition of DFA node `node` on byte
+    /// `b`, under the cache lock the caller holds for its whole chunk.
+    fn step_locked(&self, cache: &mut DfaCache, node: usize, b: u8) -> i32 {
+        let t = cache.nodes[node].trans[b as usize];
+        if t != TRANS_UNKNOWN {
+            return t;
         }
-        // Compute outside the lock (closure needs only &self.nfa).
-        let states: Vec<StateId> = {
-            let cache = self.cache.lock();
-            cache.nodes[node].states.to_vec()
-        };
         let mut next: Vec<StateId> = Vec::new();
-        for s in states {
+        for &s in cache.nodes[node].states.iter() {
             for (cls, t) in &self.nfa.states[s as usize].byte {
                 if cls.contains(b) && !next.contains(t) {
                     next.push(*t);
@@ -715,9 +712,9 @@ impl Regex {
             TRANS_DEAD
         } else {
             self.nfa.closure(&mut next);
-            self.intern(next) as i32
+            self.intern_locked(cache, next) as i32
         };
-        self.cache.lock().nodes[node].trans[b as usize] = result;
+        cache.nodes[node].trans[b as usize] = result;
         result
     }
 
@@ -809,24 +806,34 @@ impl Matcher {
         if self.node == TRANS_DEAD {
             return self.status();
         }
+        let Matcher {
+            re,
+            node,
+            consumed,
+            last,
+        } = self;
+        // One lock for the whole chunk: stepping and accept lookups are
+        // per byte.
+        let mut cache = re.cache.lock();
         for &b in chunk {
-            let next = self.re.step(self.node as usize, b);
-            self.consumed += 1;
+            let next = re.step_locked(&mut cache, *node as usize, b);
+            *consumed += 1;
             if next == TRANS_DEAD {
-                self.node = TRANS_DEAD;
+                *node = TRANS_DEAD;
                 break;
             }
-            self.node = next;
-            if let Some(p) = self.re.node_accept(next as usize) {
-                let better = match self.last {
-                    Some((lp, ll)) => self.consumed > ll || (self.consumed == ll && p < lp),
+            *node = next;
+            if let Some(p) = cache.nodes[next as usize].accept {
+                let better = match *last {
+                    Some((lp, ll)) => *consumed > ll || (*consumed == ll && p < lp),
                     None => true,
                 };
                 if better {
-                    self.last = Some((p, self.consumed));
+                    *last = Some((p, *consumed));
                 }
             }
         }
+        drop(cache);
         self.status()
     }
 

@@ -1064,7 +1064,7 @@ mod tests {
         assert_eq!(m.events.len(), 2);
         assert_eq!(m.events_dropped, 0);
         // Merging one part is the identity.
-        assert_eq!(TelemetrySnapshot::merge(&[a.clone()]), a);
+        assert_eq!(TelemetrySnapshot::merge(std::slice::from_ref(&a)), a);
         // Merge order does not affect the metric view.
         let m2 = TelemetrySnapshot::merge(&[b, a]);
         assert_eq!(m.counters, m2.counters);

@@ -35,6 +35,12 @@
 //! plus the per-tier retirement mix (generic vs specialized fast loop vs
 //! threaded executor) when any instruction retired off the generic path,
 //! and the build's specializer rewrite counts (`Program::spec_stats`).
+//! Specialized instructions count under `spec.*` names: `spec.int.*`,
+//! `spec.int.cmp`, `spec.int.br_if`, `spec.move`, `spec.load.imm`,
+//! `spec.br.bool`, `spec.iter.incr`/`deref`, the slot-bound accesses
+//! `spec.struct.get`/`set` and `spec.tuple.get`, `spec.bool.and`/`or`,
+//! and `spec.read.uint` for a fused fixed-width read (observed runs
+//! execute only its leading `assign`).
 //! (Note `--stats` itself is an observational mode that pins the generic
 //! tier, so a tiered retirement mix only shows up when stats are read
 //! programmatically or via `--metrics-out`-style integrations.)
@@ -351,8 +357,17 @@ fn main() -> ExitCode {
                 let spec = program.spec_stats();
                 eprintln!(
                     "stats: specializer rewrites: arith {} / cmps {} / moves {} / branches {} / \
-                     fused {} / iters {}",
-                    spec.arith, spec.cmps, spec.moves, spec.branches, spec.fused, spec.iters
+                     fused {} / iters {} / structs {} / tuples {} / bools {} / reads {}",
+                    spec.arith,
+                    spec.cmps,
+                    spec.moves,
+                    spec.branches,
+                    spec.fused,
+                    spec.iters,
+                    spec.structs,
+                    spec.tuples,
+                    spec.bools,
+                    spec.reads
                 );
             }
             if let Some(path) = &profile_out {

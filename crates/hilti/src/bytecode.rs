@@ -179,6 +179,71 @@ pub enum CInstr {
         dst: u16,
         it: u16,
     },
+    /// `dst = struct.get <field> obj` on a slot statically typed struct
+    /// `S`, with the field index bound at build time. The guard is the
+    /// instance's interned type name (`ty`, the layout's `Rc<str>`); on a
+    /// miss or an unset field the generic `ops::eval` resolution runs
+    /// with `idents` and owns the error.
+    StructGetSlot {
+        dst: u16,
+        obj: u16,
+        idx: u32,
+        ty: Rc<str>,
+        idents: Rc<[String]>,
+    },
+    /// `struct.set <field> obj value`, bound like [`CInstr::StructGetSlot`].
+    /// `value` is a slot or a constant, never a global.
+    StructSetSlot {
+        target: Option<u16>,
+        obj: u16,
+        value: COperand,
+        idx: u32,
+        ty: Rc<str>,
+        idents: Rc<[String]>,
+    },
+    /// `dst = tuple.get tup <idx>` with a constant, non-negative index on
+    /// a slot statically typed `tuple<...>`.
+    TupleGetSlot {
+        dst: u16,
+        tup: u16,
+        idx: u32,
+    },
+    /// `dst = bool.and a b` / `bool.or a b` on statically bool slots, with
+    /// the generic op's short circuit (the second operand is not checked
+    /// when the first decides the result).
+    BoolSlot {
+        op: BoolOp,
+        dst: u16,
+        a: u16,
+        b: u16,
+    },
+    /// `dst = equal a b` (or `unequal` when `negate`) on slot or constant
+    /// operands. `Value::equals` is total, so like `assign` this needs no
+    /// type guard and never leaves the fast loop.
+    EqualSlot {
+        negate: bool,
+        dst: u16,
+        a: COperand,
+        b: COperand,
+    },
+    /// Fused fixed-width unsigned read: the `acc = assign 0` that starts a
+    /// generated `UInt(w)`/`UIntLE(w)` field, followed by `width` groups of
+    /// `b = iterator.deref it; it = iterator.incr it 1` plus the shift/or
+    /// pair. It replaces only the `assign`; the constituents stay at the
+    /// following pcs. With `1 + 4 * width` fuel units available and all
+    /// `width` bytes readable it writes the final `acc`, `b`, `sh` (little
+    /// endian only) and `it` slots, charges every unit and jumps to
+    /// `end_pc`; otherwise it executes as its first constituent alone.
+    ReadUInt {
+        acc: u16,
+        b: u16,
+        /// The shifted-byte temporary of a little-endian run; `None` for
+        /// big-endian runs, which shift the accumulator instead.
+        sh: Option<u16>,
+        it: u16,
+        width: u8,
+        end_pc: u32,
+    },
 
     // --- inline-cache tier -----------------------------------------------
     // Emitted by `crate::tier` when a hot function is re-lowered with
@@ -326,6 +391,29 @@ impl IntBit {
             Opcode::IntShr => IntBit::Shr,
             _ => return None,
         })
+    }
+}
+
+/// Boolean operation of [`CInstr::BoolSlot`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BoolOp {
+    And,
+    Or,
+}
+
+impl BoolOp {
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            BoolOp::And => "bool.and",
+            BoolOp::Or => "bool.or",
+        }
+    }
+
+    /// The value that decides the result on its own: the generic op never
+    /// looks at (or type-checks) the second operand after it.
+    #[inline(always)]
+    pub fn short_circuit(self) -> bool {
+        matches!(self, BoolOp::Or)
     }
 }
 
@@ -519,6 +607,32 @@ impl CInstr {
                 format!("s{dst} = iterator.incr s{it} {}", n.render())
             }
             CInstr::IterDerefBytes { dst, it } => format!("s{dst} = iterator.deref s{it}"),
+            CInstr::StructGetSlot {
+                dst, obj, idents, ..
+            } => format!("s{dst} = struct.get {} s{obj}", idents.join(" ")),
+            CInstr::StructSetSlot {
+                target,
+                obj,
+                value,
+                idents,
+                ..
+            } => assignment(
+                *target,
+                format!("struct.set {} s{obj} {}", idents.join(" "), value.render()),
+            ),
+            CInstr::TupleGetSlot { dst, tup, idx } => format!("s{dst} = tuple.get s{tup} {idx}"),
+            CInstr::BoolSlot { op, dst, a, b } => {
+                format!("s{dst} = {} s{a} s{b}", op.mnemonic())
+            }
+            CInstr::EqualSlot { negate, dst, a, b } => format!(
+                "s{dst} = {} {} {}",
+                if *negate { "unequal" } else { "equal" },
+                a.render(),
+                b.render()
+            ),
+            // The fused read renders as its first constituent: that is all
+            // an observed (traced) execution of this pc ever runs.
+            CInstr::ReadUInt { acc, .. } => format!("s{acc} = assign 0"),
             // IC variants render exactly like the generic `Op` they
             // replaced (mnemonic, idents, then value operands), keeping
             // traces diffable across tiers.
@@ -593,6 +707,21 @@ impl CInstr {
             CInstr::BrBool { .. } => "spec.br.bool",
             CInstr::IterIncrBytes { .. } => "spec.iter.incr",
             CInstr::IterDerefBytes { .. } => "spec.iter.deref",
+            CInstr::StructGetSlot { .. } => "spec.struct.get",
+            CInstr::StructSetSlot { .. } => "spec.struct.set",
+            CInstr::TupleGetSlot { .. } => "spec.tuple.get",
+            CInstr::BoolSlot { op, .. } => match op {
+                BoolOp::And => "spec.bool.and",
+                BoolOp::Or => "spec.bool.or",
+            },
+            CInstr::EqualSlot { negate, .. } => {
+                if *negate {
+                    "spec.unequal"
+                } else {
+                    "spec.equal"
+                }
+            }
+            CInstr::ReadUInt { .. } => "spec.read.uint",
             // Observational modes pin execution to the generic tier, so
             // these only matter for completeness; they count under the
             // mnemonic of the op they replaced.

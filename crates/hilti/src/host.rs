@@ -515,6 +515,45 @@ hook void on_banner(string sw) {
         assert_eq!(p.take_output(), vec!["OpenSSH_3.9p1"]);
     }
 
+    /// Host-driven hook dispatch counts as engine work: each body is one
+    /// run, and its instructions are retired exactly once, also when a
+    /// body runs another hook through `hook.run`.
+    #[test]
+    fn telemetry_counts_hook_bodies_as_runs() {
+        use hilti_rt::telemetry::Telemetry;
+
+        let mut p = Program::from_source(
+            r#"
+module M
+hook void inner(int<64> n) {
+    local int<64> m
+    m = int.add n 1
+}
+hook void on_event(int<64> n) {
+    local int<64> m
+    m = int.add n 1
+    hook.run M::inner (m)
+}
+hook void on_event(int<64> n) &priority = 5 {
+    local int<64> m
+    m = int.mul n 2
+}
+"#,
+        )
+        .unwrap();
+        let tel = Telemetry::new();
+        p.context_mut().set_telemetry(&tel);
+        let before = p.context().fuel_spent();
+        p.run_hook("M::on_event", &[Value::Int(3)]).unwrap();
+        let spent = p.context().fuel_spent() - before;
+        let snap = tel.snapshot();
+        // Two `on_event` bodies; the nested `inner` body is part of the
+        // first one's run.
+        assert_eq!(snap.counter("engine.runs"), 2);
+        assert!(spent > 0);
+        assert_eq!(snap.counter("engine.instructions_retired"), spent);
+    }
+
     #[test]
     fn optimization_reported() {
         let p = Program::from_sources(
@@ -804,6 +843,295 @@ string past_end(ref<bytes> data) {
             crate::fiber::Step::Finished(v) => Ok(v),
         }));
         out
+    }
+
+    /// Slot-bound struct/tuple/bool access on typed locals, including the
+    /// guard misses the specializer cannot see at build time: an instance
+    /// of another struct type (resolved by name), an unset field, a short
+    /// tuple, non-aggregate values, and the generic short circuit.
+    const BOUND_ACCESS: &str = r#"
+module M
+type A = struct { int<64> x, int<64> y }
+type B = struct { int<64> y, int<64> x }
+
+ref<A> mk_a(int<64> n) {
+    local ref<A> a
+    a = new A
+    struct.set a x n
+    return a
+}
+
+ref<A> mk_a_unset() {
+    local ref<A> a
+    a = new A
+    return a
+}
+
+ref<B> mk_b(int<64> n) {
+    local ref<B> b
+    b = new B
+    struct.set b x n
+    return b
+}
+
+int<64> read(any obj) {
+    local ref<A> a
+    local int<64> v
+    a = assign obj
+    v = struct.get a x
+    return v
+}
+
+int<64> write_read(any obj, int<64> n) {
+    local ref<A> a
+    local int<64> v
+    a = assign obj
+    struct.set a x n
+    v = struct.get a x
+    return v
+}
+
+any pick(any t) {
+    local tuple<any, any> p
+    local any v
+    p = assign t
+    v = tuple.get p 1
+    return v
+}
+
+bool both(any x, any y) {
+    local bool a
+    local bool b
+    local bool r
+    a = assign x
+    b = assign y
+    r = bool.and a b
+    return r
+}
+
+bool either(any x, any y) {
+    local bool a
+    local bool b
+    local bool r
+    a = assign x
+    b = assign y
+    r = bool.or a b
+    return r
+}
+"#;
+
+    fn bound_scenarios(p: &mut Program, trace: bool) -> Vec<Observed> {
+        let a7 = p.run("M::mk_a", &[Value::Int(7)]).unwrap();
+        let b9 = p.run("M::mk_b", &[Value::Int(9)]).unwrap();
+        let unset = p.run("M::mk_a_unset", &[]).unwrap();
+        let pair = Value::Tuple(std::rc::Rc::new(vec![Value::Int(1), Value::Int(2)]));
+        let single = Value::Tuple(std::rc::Rc::new(vec![Value::Int(1)]));
+        let (t, f) = (Value::Bool(true), Value::Bool(false));
+        let cases: Vec<(&str, Vec<Value>)> = vec![
+            ("M::read", vec![a7.clone()]),
+            ("M::read", vec![b9.clone()]),
+            ("M::read", vec![unset]),
+            ("M::read", vec![Value::Int(3)]),
+            ("M::write_read", vec![a7, Value::Int(5)]),
+            ("M::write_read", vec![b9, Value::Int(6)]),
+            ("M::write_read", vec![Value::str("s"), Value::Int(6)]),
+            ("M::pick", vec![pair]),
+            ("M::pick", vec![single]),
+            ("M::pick", vec![Value::Int(1)]),
+            ("M::both", vec![t.clone(), t.clone()]),
+            ("M::both", vec![f.clone(), Value::Int(1)]),
+            ("M::both", vec![t.clone(), Value::Int(1)]),
+            ("M::either", vec![t, Value::Int(1)]),
+            ("M::either", vec![f, Value::str("s")]),
+        ];
+        cases
+            .into_iter()
+            .map(|(func, args)| observe(p, trace, |p| p.run(func, &args)))
+            .collect()
+    }
+
+    #[test]
+    fn slot_bound_access_guard_misses_match_generic() {
+        let build = |specialize: bool| {
+            Program::from_sources_opts(
+                &[BOUND_ACCESS],
+                OptLevel::None,
+                BuildOptions {
+                    specialize,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        };
+        let (mut on, mut off) = (build(true), build(false));
+        let spec = on.spec_stats();
+        assert!(
+            spec.structs >= 5 && spec.tuples == 1 && spec.bools == 2,
+            "{spec:?}"
+        );
+        for trace in [false, true] {
+            let seen = bound_scenarios(&mut on, trace);
+            assert_eq!(seen, bound_scenarios(&mut off, trace), "trace={trace}");
+            use hilti_rt::error::ExceptionKind::{IndexError, TypeError};
+            let results: Vec<_> = seen.iter().map(|o| o.result.clone()).collect();
+            let kinds: Vec<_> = results
+                .iter()
+                .map(|r| r.as_ref().map_err(|(k, _)| *k).cloned())
+                .collect();
+            assert_eq!(
+                kinds,
+                vec![
+                    Ok("7".to_owned()),
+                    Ok("9".to_owned()),
+                    Err(IndexError),
+                    Err(TypeError),
+                    Ok("5".to_owned()),
+                    Ok("6".to_owned()),
+                    Err(TypeError),
+                    Ok("2".to_owned()),
+                    Err(IndexError),
+                    Err(TypeError),
+                    Ok("True".to_owned()),
+                    Ok("False".to_owned()),
+                    Err(TypeError),
+                    Ok("True".to_owned()),
+                    Err(TypeError),
+                ],
+                "{results:?}"
+            );
+        }
+        assert!(on.context().tier_mix().specialized > 0);
+    }
+
+    /// Codegen-shaped fixed-width fields: a big-endian `UInt(4)` and a
+    /// little-endian `UIntLE(2)`, each an `assign 0` plus four ops per byte.
+    const FIXED_READS: &str = r#"
+module M
+tuple<any, any> fields(ref<bytes> data) {
+    local iterator<bytes> it
+    local int<64> acc
+    local int<64> b
+    local int<64> acc2
+    local int<64> b2
+    local int<64> sh2
+    local tuple<any, any> r
+    it = bytes.begin data
+    acc = assign 0
+    b = iterator.deref it
+    it = iterator.incr it 1
+    acc = int.shl acc 8
+    acc = int.or acc b
+    b = iterator.deref it
+    it = iterator.incr it 1
+    acc = int.shl acc 8
+    acc = int.or acc b
+    b = iterator.deref it
+    it = iterator.incr it 1
+    acc = int.shl acc 8
+    acc = int.or acc b
+    b = iterator.deref it
+    it = iterator.incr it 1
+    acc = int.shl acc 8
+    acc = int.or acc b
+    acc2 = assign 0
+    b2 = iterator.deref it
+    it = iterator.incr it 1
+    sh2 = int.shl b2 0
+    acc2 = int.or acc2 sh2
+    b2 = iterator.deref it
+    it = iterator.incr it 1
+    sh2 = int.shl b2 8
+    acc2 = int.or acc2 sh2
+    acc2 = int.add acc2 b
+    acc2 = int.add acc2 sh2
+    r = tuple.pack acc acc2
+    return r
+}
+"#;
+
+    fn read_scenarios(p: &mut Program, trace: bool) -> Vec<Observed> {
+        let wire: &[u8] = b"\x12\x34\x56\x78\x9a\xbc";
+        let frozen = |b: &[u8]| Value::Bytes(hilti_rt::bytestring::Bytes::frozen_from_slice(b));
+        let mut out = vec![
+            observe(p, trace, |p| p.run("M::fields", &[frozen(wire)])),
+            // Short, frozen: the IndexError of the first missing byte.
+            observe(p, trace, |p| p.run("M::fields", &[frozen(&wire[..5])])),
+        ];
+        // Incremental input: suspend inside the 4-byte field, then inside
+        // the 2-byte one, and finish once everything arrived.
+        let data = hilti_rt::bytestring::Bytes::new();
+        data.append(&wire[..2]).unwrap();
+        let mut fiber = p.fiber("M::fields", vec![Value::Bytes(data.clone())]);
+        let mut step = |p: &mut Program| {
+            observe(p, trace, |p| match p.resume(&mut fiber)? {
+                crate::fiber::Step::Suspended => Ok(Value::str("suspended")),
+                crate::fiber::Step::Finished(v) => Ok(v),
+            })
+        };
+        out.push(step(p));
+        data.append(&wire[2..5]).unwrap();
+        out.push(step(p));
+        data.append(&wire[5..]).unwrap();
+        data.freeze();
+        out.push(step(p));
+        out
+    }
+
+    #[test]
+    fn fused_fixed_width_reads_match_unfused() {
+        for opt in [OptLevel::None, OptLevel::Full] {
+            let build = |specialize: bool| {
+                Program::from_sources_opts(
+                    &[FIXED_READS],
+                    opt,
+                    BuildOptions {
+                        specialize,
+                        ..Default::default()
+                    },
+                )
+                .unwrap()
+            };
+            let (mut on, mut off) = (build(true), build(false));
+            assert_eq!(on.spec_stats().reads, 2, "{opt:?}: {:?}", on.spec_stats());
+            for trace in [false, true] {
+                let seen = read_scenarios(&mut on, trace);
+                assert_eq!(
+                    seen,
+                    read_scenarios(&mut off, trace),
+                    "{opt:?} trace={trace}"
+                );
+                // 0x12345678, and 0xbc9a + b (0x78) + sh (0xbc00) = 96530.
+                let results: Vec<_> = seen.iter().map(|o| o.result.clone()).collect();
+                assert_eq!(results[0], Ok("(305419896, 96530)".to_owned()));
+                assert!(matches!(
+                    &results[1],
+                    Err((hilti_rt::error::ExceptionKind::IndexError, _))
+                ));
+                assert_eq!(results[2], Ok("suspended".to_owned()));
+                assert_eq!(results[3], Ok("suspended".to_owned()));
+                assert_eq!(results[4], results[0]);
+            }
+            // Every fuel budget trips at the same point with and without
+            // fusion: too little fuel for a whole run executes only its
+            // first constituent.
+            let wire = Value::Bytes(hilti_rt::bytestring::Bytes::frozen_from_slice(
+                b"\x12\x34\x56\x78\x9a\xbc",
+            ));
+            for fuel in 0..48 {
+                let limited = |p: &mut Program| {
+                    p.set_limits(hilti_rt::limits::ResourceLimits {
+                        fuel: Some(fuel),
+                        ..Default::default()
+                    });
+                    let r = p
+                        .run("M::fields", std::slice::from_ref(&wire))
+                        .map(|v| v.render());
+                    (r.map_err(|e| e.kind), p.context().fuel_remaining())
+                };
+                assert_eq!(limited(&mut on), limited(&mut off), "{opt:?} fuel={fuel}");
+            }
+            assert!(on.context().tier_mix().specialized > 0);
+        }
     }
 
     #[test]

@@ -41,9 +41,10 @@
 //! the parallel pipeline gets lock-free per-shard tiering (and byte-
 //! identical N-worker merges) with no extra machinery.
 
+use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::bytecode::{CFunc, CInstr, CompiledProgram, IcSite};
+use crate::bytecode::{CFunc, CInstr, CompiledProgram, IcSite, StructLayout};
 use crate::ir::Opcode;
 use crate::specialize::{specialize_func_with_types, SpecStats};
 use crate::threaded::ThreadedFunc;
@@ -272,7 +273,12 @@ impl TierEngine {
         if !hot {
             return TierPoll::Generic;
         }
-        let tiered = Rc::new(tier_up(&prog.funcs[fi], &ft.obs, &self.config));
+        let tiered = Rc::new(tier_up(
+            &prog.funcs[fi],
+            &ft.obs,
+            &prog.struct_layouts,
+            &self.config,
+        ));
         let threaded = (self.mode == TieringMode::Threaded)
             .then(|| Rc::new(crate::threaded::compile(&tiered)));
         ft.code = Some(Rc::clone(&tiered));
@@ -360,7 +366,12 @@ pub struct IcSiteReport {
 /// specialization rewrites against the refined types, then installs inline
 /// caches at the polymorphic access/call sites. Pure function of
 /// `(generic body, observations)` — same inputs, same tiered code.
-fn tier_up(generic: &CFunc, obs: &[Obs], config: &TierConfig) -> CFunc {
+fn tier_up(
+    generic: &CFunc,
+    obs: &[Obs],
+    struct_layouts: &HashMap<String, StructLayout>,
+    config: &TierConfig,
+) -> CFunc {
     let mut cf = generic.clone();
     let mut types = cf.slot_types.clone();
     for (i, o) in obs.iter().enumerate().take(cf.n_params as usize) {
@@ -374,7 +385,7 @@ fn tier_up(generic: &CFunc, obs: &[Obs], config: &TierConfig) -> CFunc {
         }
     }
     let mut stats = SpecStats::default();
-    specialize_func_with_types(&mut cf, &types, &mut stats);
+    specialize_func_with_types(&mut cf, &types, struct_layouts, &mut stats);
     insert_inline_caches(&mut cf, config.ic_cap);
     cf
 }
@@ -486,7 +497,12 @@ int<64> f(any x) {
         let linked = crate::linker::link_with_priorities(vec![m]).unwrap();
         let prog = crate::bytecode::compile(&linked).unwrap();
         let generic = prog.func("M::f").unwrap();
-        let tiered = tier_up(generic, &[Obs::Int], &TierConfig::default());
+        let tiered = tier_up(
+            generic,
+            &[Obs::Int],
+            &prog.struct_layouts,
+            &TierConfig::default(),
+        );
         assert!(
             tiered
                 .code
@@ -496,7 +512,12 @@ int<64> f(any x) {
             tiered.code
         );
         // Poly observation leaves it generic.
-        let still_generic = tier_up(generic, &[Obs::Poly], &TierConfig::default());
+        let still_generic = tier_up(
+            generic,
+            &[Obs::Poly],
+            &prog.struct_layouts,
+            &TierConfig::default(),
+        );
         assert!(still_generic.code.iter().any(|i| matches!(
             i,
             CInstr::Op {
@@ -523,7 +544,7 @@ int<64> getb(any s) {
         let linked = crate::linker::link_with_priorities(vec![m]).unwrap();
         let prog = crate::bytecode::compile(&linked).unwrap();
         let generic = prog.func("M::getb").unwrap();
-        let tiered = tier_up(generic, &[], &TierConfig::default());
+        let tiered = tier_up(generic, &[], &prog.struct_layouts, &TierConfig::default());
         assert!(
             tiered
                 .code

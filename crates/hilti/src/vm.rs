@@ -28,8 +28,9 @@ use hilti_rt::telemetry::{EventSink, Telemetry};
 use hilti_rt::time::Time;
 
 use crate::bytecode::{
-    CFunc, CInstr, COperand, CompiledProgram, IcEntry, IcSite, IntSrc, StructLayout,
+    CFunc, CInstr, COperand, CompiledProgram, IcEntry, IcSite, IntBit, IntSrc, StructLayout,
 };
+use crate::ir::Opcode;
 use crate::ops::{self, ExecCtx, ExpiringHandle};
 use crate::threaded::{TOp, TSrc, ThreadedFunc};
 use crate::tier::{TierCode, TierConfig, TierEngine, TierPoll, TierReport, TieringMode};
@@ -661,6 +662,19 @@ fn cinstr_class(instr: &CInstr) -> &'static str {
         | CInstr::BrIfInt { .. } => "int",
         CInstr::MoveSlot { .. } | CInstr::LoadImm { .. } => "assign",
         CInstr::IterIncrBytes { .. } | CInstr::IterDerefBytes { .. } => "iterator",
+        CInstr::StructGetSlot { .. } | CInstr::StructSetSlot { .. } => "struct",
+        CInstr::TupleGetSlot { .. } => "tuple",
+        CInstr::BoolSlot { .. } => "bool",
+        CInstr::EqualSlot { negate, .. } => {
+            if *negate {
+                "unequal"
+            } else {
+                "equal"
+            }
+        }
+        // Profiled executions only ever run the fused read's first
+        // constituent, the `assign` it replaced.
+        CInstr::ReadUInt { .. } => "assign",
         // Observational modes pin execution to the generic tier, so these
         // never appear in a profile; classes mirror the generic ops anyway.
         CInstr::StructGetIC { .. } | CInstr::StructSetIC { .. } => "struct",
@@ -933,17 +947,35 @@ fn run_entry(
 }
 
 /// Runs every body of hook `hook` synchronously, in priority order, each
-/// from its own entry frame (hooks do not suspend). The one hook runner:
-/// host-driven dispatch ([`crate::host::Program::run_hook_index`]) and
-/// the `hook.run` instruction both come here.
+/// from its own entry frame (hooks do not suspend). This is the host-driven
+/// entry point ([`crate::host::Program::run_hook_index`]): like [`call`],
+/// every body is flushed to telemetry as one run.
 pub fn run_hook(
     prog: &CompiledProgram,
     ctx: &mut Context,
     hook: u32,
     args: &[Value],
 ) -> RtResult<()> {
+    run_hook_bodies(prog, ctx, hook, args, true)
+}
+
+/// The one hook runner, shared with the `hook.run` instruction. Bodies run
+/// from a nested `hook.run` are not flushed: the enclosing entry point's
+/// run already accounts for the instructions they retire.
+fn run_hook_bodies(
+    prog: &CompiledProgram,
+    ctx: &mut Context,
+    hook: u32,
+    args: &[Value],
+    flush: bool,
+) -> RtResult<()> {
     for &body in &prog.hooks[hook as usize] {
-        if let Outcome::Suspended(_) = run_entry(prog, ctx, body, args, false)? {
+        let spent_before = ctx.fuel_spent;
+        let outcome = run_entry(prog, ctx, body, args, false);
+        if flush {
+            ctx.telemetry_flush_run(spent_before);
+        }
+        if let Outcome::Suspended(_) = outcome? {
             return Err(RtError::runtime("hook body suspended"));
         }
     }
@@ -992,6 +1024,79 @@ fn int_operand(frame: &Frame, s: IntSrc) -> Option<i64> {
             _ => None,
         },
     }
+}
+
+/// The field `idx` of a struct instance built from the layout whose
+/// interned name is `ty` (pointer identity), if that field is set. `None`
+/// is a guard miss: the caller resolves the access generically.
+#[inline(always)]
+fn bound_struct_get(v: &Value, ty: &Rc<str>, idx: u32) -> Option<Value> {
+    let Value::Struct(s) = v else { return None };
+    let s = s.borrow();
+    if !Rc::ptr_eq(&s.type_name, ty) {
+        return None;
+    }
+    match s.fields.get(idx as usize)? {
+        Value::Null => None,
+        v => Some(v.clone()),
+    }
+}
+
+/// Stores `value` into field `idx` of the struct in slot `obj` when the
+/// instance guard holds; `false` (nothing written) on a miss.
+#[inline(always)]
+fn bound_struct_set(frame: &Frame, obj: u16, value: &COperand, ty: &Rc<str>, idx: u32) -> bool {
+    let Value::Struct(s) = &frame.slots[obj as usize] else {
+        return false;
+    };
+    let mut s = s.borrow_mut();
+    if !Rc::ptr_eq(&s.type_name, ty) {
+        return false;
+    }
+    match s.fields.get_mut(idx as usize) {
+        Some(f) => {
+            *f = local_operand(frame, value).clone();
+            true
+        }
+        None => false,
+    }
+}
+
+/// A slot or constant operand, borrowed (specialized instructions never
+/// carry globals).
+#[inline(always)]
+fn local_operand<'a>(frame: &'a Frame, op: &'a COperand) -> &'a Value {
+    match op {
+        COperand::Slot(s) => &frame.slots[*s as usize],
+        COperand::Value(v) => v,
+        COperand::Global(_) => unreachable!("specialized operands are never globals"),
+    }
+}
+
+/// Element `idx` of a tuple value; `None` for a non-tuple or a short one.
+#[inline(always)]
+fn bound_tuple_get(v: &Value, idx: u32) -> Option<Value> {
+    match v {
+        Value::Tuple(t) => t.get(idx as usize).cloned(),
+        _ => None,
+    }
+}
+
+/// Final `acc` and shifted-byte values of a fused fixed-width read over
+/// `bytes`, computed with the `int.shl`/`int.or` semantics of the
+/// instructions it covers.
+fn read_uint_fold(bytes: &[u8], little: bool) -> (i64, i64) {
+    let (mut acc, mut sh) = (0i64, 0i64);
+    for (k, &b) in bytes.iter().enumerate() {
+        let b = i64::from(b);
+        if little {
+            sh = IntBit::Shl.apply(b, 8 * k as i64);
+            acc |= sh;
+        } else {
+            acc = IntBit::Shl.apply(acc, 8) | b;
+        }
+    }
+    (acc, sh)
 }
 
 /// Runs `frames` to completion or suspension with the context's working
@@ -1263,6 +1368,120 @@ fn run_loop(
                         frame.pc += 1;
                         fuel -= 1;
                     }
+                    // Slot-bound accesses: a guard miss (other struct type,
+                    // unset field, non-tuple, short tuple) breaks uncharged
+                    // and the generic arm resolves the op by name.
+                    CInstr::StructGetSlot {
+                        dst, obj, idx, ty, ..
+                    } => {
+                        if fuel < 1 {
+                            break;
+                        }
+                        let Some(v) = bound_struct_get(&frame.slots[*obj as usize], ty, *idx)
+                        else {
+                            break;
+                        };
+                        frame.slots[*dst as usize] = v;
+                        frame.pc += 1;
+                        fuel -= 1;
+                    }
+                    CInstr::StructSetSlot {
+                        target,
+                        obj,
+                        value,
+                        idx,
+                        ty,
+                        ..
+                    } => {
+                        if fuel < 1 {
+                            break;
+                        }
+                        if !bound_struct_set(frame, *obj, value, ty, *idx) {
+                            break;
+                        }
+                        if let Some(t) = target {
+                            frame.slots[*t as usize] = Value::Null;
+                        }
+                        frame.pc += 1;
+                        fuel -= 1;
+                    }
+                    CInstr::TupleGetSlot { dst, tup, idx } => {
+                        if fuel < 1 {
+                            break;
+                        }
+                        let Some(v) = bound_tuple_get(&frame.slots[*tup as usize], *idx) else {
+                            break;
+                        };
+                        frame.slots[*dst as usize] = v;
+                        frame.pc += 1;
+                        fuel -= 1;
+                    }
+                    CInstr::BoolSlot { op, dst, a, b } => {
+                        if fuel < 1 {
+                            break;
+                        }
+                        let r = match frame.slots[*a as usize] {
+                            Value::Bool(x) if x == op.short_circuit() => x,
+                            Value::Bool(_) => match frame.slots[*b as usize] {
+                                Value::Bool(y) => y,
+                                _ => break,
+                            },
+                            _ => break,
+                        };
+                        frame.slots[*dst as usize] = Value::Bool(r);
+                        frame.pc += 1;
+                        fuel -= 1;
+                    }
+                    CInstr::EqualSlot { negate, dst, a, b } => {
+                        if fuel < 1 {
+                            break;
+                        }
+                        let eq = local_operand(frame, a).equals(local_operand(frame, b));
+                        frame.slots[*dst as usize] = Value::Bool(eq != *negate);
+                        frame.pc += 1;
+                        fuel -= 1;
+                    }
+                    CInstr::ReadUInt {
+                        acc,
+                        b,
+                        sh,
+                        it,
+                        width,
+                        end_pc,
+                    } => {
+                        if fuel < 1 {
+                            break;
+                        }
+                        let w = usize::from(*width);
+                        let cost = 1 + 4 * w as u64;
+                        let mut buf = [0u8; 8];
+                        let next = match &frame.slots[*it as usize] {
+                            Value::BytesIter(i) if fuel >= cost && i.peek_into(&mut buf[..w]) => {
+                                Some(i.advance(w as u64))
+                            }
+                            _ => None,
+                        };
+                        match next {
+                            Some(next) => {
+                                let (value, shifted) = read_uint_fold(&buf[..w], sh.is_some());
+                                frame.slots[*acc as usize] = Value::Int(value);
+                                frame.slots[*b as usize] = Value::Int(i64::from(buf[w - 1]));
+                                if let Some(sh) = sh {
+                                    frame.slots[*sh as usize] = Value::Int(shifted);
+                                }
+                                frame.slots[*it as usize] = Value::BytesIter(next);
+                                frame.pc = *end_pc;
+                                fuel -= cost;
+                            }
+                            // First-constituent fallback: `acc = assign 0`,
+                            // then the run continues one op at a time.
+                            None => {
+                                frame.slots[*acc as usize] = Value::Int(0);
+                                frame.pc += 1;
+                                fuel -= 1;
+                            }
+                        }
+                    }
                     _ => break,
                 }
             }
@@ -1459,7 +1678,7 @@ fn run_loop(
                 }
                 frame.pc += 1;
                 // Nested execution: the bodies run on their own buffers.
-                run_hook(prog, ctx, *hook, argbuf)?;
+                run_hook_bodies(prog, ctx, *hook, argbuf, false)?;
             }
             CInstr::CallCallable {
                 target,
@@ -1742,6 +1961,86 @@ fn run_loop(
                     }
                     Err(e) => raise!(e),
                 }
+            }
+            // Slot-bound accesses reach this arm on a guard miss (or
+            // observed, threaded, short of fuel): the generic resolution
+            // by name succeeds or raises exactly as the generic op does.
+            CInstr::StructGetSlot {
+                dst, obj, idents, ..
+            } => {
+                argbuf.clear();
+                argbuf.push(frame.slots[*obj as usize].clone());
+                match ops::eval(Opcode::StructGet, argbuf, idents, ctx) {
+                    Ok(evaluated) => {
+                        let frame = frames.last_mut().expect("frame exists");
+                        frame.slots[*dst as usize] = evaluated.value;
+                        frame.pc += 1;
+                    }
+                    Err(e) => raise!(e),
+                }
+            }
+            CInstr::StructSetSlot {
+                target,
+                obj,
+                value,
+                idents,
+                ..
+            } => {
+                argbuf.clear();
+                argbuf.push(frame.slots[*obj as usize].clone());
+                argbuf.push(operand_value(ctx, frame, value));
+                match ops::eval(Opcode::StructSet, argbuf, idents, ctx) {
+                    Ok(evaluated) => {
+                        let frame = frames.last_mut().expect("frame exists");
+                        if let Some(t) = target {
+                            frame.slots[*t as usize] = evaluated.value;
+                        }
+                        frame.pc += 1;
+                    }
+                    Err(e) => raise!(e),
+                }
+            }
+            CInstr::TupleGetSlot { dst, tup, idx } => {
+                argbuf.clear();
+                argbuf.push(frame.slots[*tup as usize].clone());
+                argbuf.push(Value::Int(i64::from(*idx)));
+                match ops::eval(Opcode::TupleGet, argbuf, &[], ctx) {
+                    Ok(evaluated) => {
+                        let frame = frames.last_mut().expect("frame exists");
+                        frame.slots[*dst as usize] = evaluated.value;
+                        frame.pc += 1;
+                    }
+                    Err(e) => raise!(e),
+                }
+            }
+            CInstr::BoolSlot { op, dst, a, b } => {
+                // `ops::eval`'s `a && b` / `a || b` over `as_bool`, with
+                // its short circuit and its errors.
+                let r = frame.slots[*a as usize].as_bool().and_then(|x| {
+                    if x == op.short_circuit() {
+                        Ok(x)
+                    } else {
+                        frame.slots[*b as usize].as_bool()
+                    }
+                });
+                match r {
+                    Ok(r) => {
+                        frame.slots[*dst as usize] = Value::Bool(r);
+                        frame.pc += 1;
+                    }
+                    Err(e) => raise!(e),
+                }
+            }
+            CInstr::EqualSlot { negate, dst, a, b } => {
+                let eq = local_operand(frame, a).equals(local_operand(frame, b));
+                frame.slots[*dst as usize] = Value::Bool(eq != *negate);
+                frame.pc += 1;
+            }
+            // Observed, threaded or short of fuel/input: the fused read
+            // runs as its first constituent only.
+            CInstr::ReadUInt { acc, .. } => {
+                frame.slots[*acc as usize] = Value::Int(0);
+                frame.pc += 1;
             }
             CInstr::Branch {
                 cond,

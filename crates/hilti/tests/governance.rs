@@ -648,7 +648,7 @@ fn call_depth_limit_parity_across_tiering_modes() {
     };
 
     let mut oracle = build(RECURSE_SRC, true);
-    oracle.set_limits(limits.clone());
+    oracle.set_limits(limits);
     let e = oracle.run("G::down", &[Value::Int(1000)]).unwrap_err();
     assert_eq!(e.kind, ExceptionKind::ResourceExhausted);
     let want_fuel = oracle.context().fuel_spent();
@@ -664,7 +664,7 @@ fn call_depth_limit_parity_across_tiering_modes() {
                 .equals(&Value::Int(8)));
         }
         let warm_fuel = p.context().fuel_spent();
-        p.set_limits(limits.clone());
+        p.set_limits(limits);
         let e = p.run("G::down", &[Value::Int(1000)]).unwrap_err();
         assert_eq!(e.kind, ExceptionKind::ResourceExhausted, "{mode:?}");
         assert_eq!(

@@ -179,7 +179,7 @@ fn ic_hit_after_monomorphic_miss_refill() {
     let mut p = build(TieringMode::Eager);
     let s = p.run("M::mk1", &[]).unwrap();
     for _ in 0..10 {
-        let v = p.run("M::getb", &[s.clone()]).unwrap();
+        let v = p.run("M::getb", std::slice::from_ref(&s)).unwrap();
         assert!(v.equals(&Value::Int(1)), "{v:?}");
     }
     let report = p.context().tier_report();
@@ -201,11 +201,11 @@ fn ic_refills_per_receiver_type_up_to_cap() {
     // return the wrong field value — correctness proves the guard works.
     for _ in 0..4 {
         assert!(p
-            .run("M::getb", &[s1.clone()])
+            .run("M::getb", std::slice::from_ref(&s1))
             .unwrap()
             .equals(&Value::Int(1)));
         assert!(p
-            .run("M::getb", &[s2.clone()])
+            .run("M::getb", std::slice::from_ref(&s2))
             .unwrap()
             .equals(&Value::Int(2)));
     }
@@ -227,7 +227,7 @@ fn ic_polymorphic_cap_deoptimizes_but_stays_correct() {
     // to the generic lookup — and keep producing correct answers.
     for round in 0..3 {
         for (i, s) in vals.iter().enumerate() {
-            let v = p.run("M::getb", &[s.clone()]).unwrap();
+            let v = p.run("M::getb", std::slice::from_ref(s)).unwrap();
             assert!(
                 v.equals(&Value::Int(i as i64 + 1)),
                 "round {round} type T{} gave {v:?}",
@@ -261,7 +261,7 @@ fn overlay_ic_caches_resolved_overlay_type() {
     let mut p = build(TieringMode::Eager);
     let pkt = Value::Bytes(Bytes::frozen_from_slice(&[0x00, 0x07, 0x00, 0x2a]));
     for _ in 0..6 {
-        let v = p.run("M::hdr_len", &[pkt.clone()]).unwrap();
+        let v = p.run("M::hdr_len", std::slice::from_ref(&pkt)).unwrap();
         assert!(v.equals(&Value::Int(42)), "{v:?}");
     }
     let report = p.context().tier_report();
@@ -339,7 +339,9 @@ fn ic_errors_match_generic_messages() {
         let s_off = off.run(maker, &[]).unwrap();
         let s_tier = eager.run(maker, &[]).unwrap();
         let e_off = off.run("M::getb", &[s_off]).unwrap_err();
-        let e_tier = eager.run("M::getb", &[s_tier.clone()]).unwrap_err();
+        let e_tier = eager
+            .run("M::getb", std::slice::from_ref(&s_tier))
+            .unwrap_err();
         let e_tier2 = eager.run("M::getb", &[s_tier]).unwrap_err();
         assert_eq!(e_off.kind, e_tier.kind, "{maker}");
         assert_eq!(e_off.message, e_tier.message, "{maker}");
@@ -356,7 +358,7 @@ fn tierup_and_ic_telemetry_counters() {
     p.context_mut().set_telemetry(&tel);
     let s = p.run("M::mk1", &[]).unwrap();
     for _ in 0..8 {
-        p.run("M::getb", &[s.clone()]).unwrap();
+        p.run("M::getb", std::slice::from_ref(&s)).unwrap();
     }
     let snap = tel.snapshot();
     assert!(snap.counter("engine.tierup") >= 1, "{:?}", snap.counters);
@@ -377,7 +379,7 @@ fn observational_modes_pin_generic_tier() {
     p.context_mut().trace = true;
     let s = p.run("M::mk1", &[]).unwrap();
     for _ in 0..6 {
-        p.run("M::getb", &[s.clone()]).unwrap();
+        p.run("M::getb", std::slice::from_ref(&s)).unwrap();
     }
     assert_eq!(p.context().tier_report().tierups, 0);
 }

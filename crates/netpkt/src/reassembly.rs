@@ -411,15 +411,15 @@ mod tests {
     #[test]
     fn buffer_budget_forces_gap() {
         let mut r = StreamReassembler::new(0).with_max_buffer(8);
-        assert!(r.segment(100, b"ABCDEFGHIJ").is_empty() || true);
-        // Budget exceeded: delivery resumes at the buffered segment.
-        let out = r.segment(200, b"KL");
-        // After forcing, both buffered runs may deliver (with a gap between
-        // them counted).
-        assert!(r.gap_bytes() > 0);
-        let mut all = out;
-        all.extend(r.force_gap());
-        assert!(all.ends_with(b"KL"));
+        // Ten out-of-order bytes exceed the 8-byte budget: the missing
+        // prefix (relative offsets 0..99) becomes a gap and delivery
+        // resumes at the buffered segment at once.
+        assert_eq!(r.segment(100, b"ABCDEFGHIJ"), b"ABCDEFGHIJ");
+        assert_eq!(r.gap_bytes(), 99);
+        // Two bytes fit the budget: buffered until the gap is forced.
+        assert!(r.segment(200, b"KL").is_empty());
+        assert_eq!(r.force_gap(), b"KL");
+        assert_eq!(r.gap_bytes(), 99 + 90);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 #
 #   build (release)  — the artifacts the benchmarks run against
 #   test             — unit + integration suites across the workspace
-#   clippy           — lint wall; warnings are errors
+#   clippy           — lint wall over every target (lib, bins, tests,
+#                      benches, examples); warnings are errors
 #   repro smoke      — fig9/fig10 JSON artifacts regenerate and validate
 #   bench smoke      — telemetry-overhead bench compiles and runs (test mode)
 #
@@ -27,7 +28,7 @@ fi
 
 cargo build --release "$@"
 cargo test -q --workspace "$@"
-cargo clippy --workspace "$@" -- -D warnings
+cargo clippy --workspace --all-targets "$@" -- -D warnings
 
 # Parallel-pipeline determinism gate: the differential suite (N workers
 # vs 1 must be byte-identical).

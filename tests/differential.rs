@@ -166,7 +166,7 @@ fn outcome(r: Result<Value, hilti_rt::error::RtError>) -> Result<i64, String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn engines_and_optimizer_agree(
@@ -419,7 +419,7 @@ fn build_tiered(src: &str, opt: OptLevel, specialize: bool, mode: TieringMode) -
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The adaptive-tiering dimension: off × lazy × eager, crossed with
     /// the static specializer switch, must agree with the interpreter
